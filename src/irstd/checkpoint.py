@@ -33,19 +33,17 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def weight_hash(net) -> int:
-    """FNV-1a over the raw little-endian bytes of every weight array, in
-    construction order. Used to prove the classifier stays frozen."""
-    h = _FNV_OFFSET
-    for arr in net.parameters():
-        for byte in np.ascontiguousarray(arr, dtype="<f4").tobytes():
-            h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
-
-
 def _payload(net) -> bytes:
     return b"".join(
         np.ascontiguousarray(a, dtype="<f4").tobytes() for a in net.parameters())
+
+
+def weight_hash(net) -> bytes:
+    """The raw little-endian float32 bytes of every weight array, in
+    construction order. Two nets compare equal exactly when their weights
+    are byte-identical, which is how the classifier is proved frozen; no
+    digest is taken, so no collision can hide a change."""
+    return _payload(net)
 
 
 def save_weights(path, net: TemNet | ScmNet) -> None:

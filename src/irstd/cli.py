@@ -49,9 +49,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _workers_default() -> int:
     env = os.environ.get("TBC_WORKERS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        # read while the parser is built, before main's error handling
+        print(f"irstd: error: TBC_WORKERS must be an integer, got {env!r}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def cmd_budget(args) -> int:

@@ -6,8 +6,8 @@ Per-image losses are pixel means, so magnitudes are resolution independent;
 batch averaging is the trainer's job. SSIM uses uniform (box) 11x11 windows
 over all valid (unpadded) positions, population window statistics, and
 stabilisers c1 = 0.02, c2 = 0.06 applied to [0, 1]-scaled images as raw
-constants. Swapping in a Gaussian window would be a one-line change in
-_window_means.
+constants. Swapping in a Gaussian window would mean replacing _box_valid
+and its adjoint _box_scatter.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def _box_scatter(a: np.ndarray, win: int) -> np.ndarray:
     """Adjoint of valid-window extraction: out[p] = sum over windows
     containing pixel p of a[window]."""
     return _box_valid(np.pad(a, win - 1), win)
-
-
-def _window_means(x: np.ndarray, win: int):
-    n = float(win * win)
-    return _box_valid(x, win) / n
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray, win: int):

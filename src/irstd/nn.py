@@ -128,29 +128,38 @@ class Conv3x3:
         return [self.gw] if self.b is None else [self.gw, self.gb]
 
 
+# 2x2 block positions in argmax order: row-major within the block
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class MaxPool2x2:
-    """2x2 max pooling over disjoint blocks. Remembers argmax positions so
-    the backward pass routes gradient only to the winning pixels."""
+    """2x2 max pooling over disjoint blocks, taken as the elementwise maximum
+    of the four strided views of the input. In training it keeps one
+    first-winner mask per block position, in argmax order, so the backward
+    pass routes each block's gradient to the same single pixel argmax would
+    pick, ties included."""
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"extents must be even, got {h}x{w}")
-        blocks = x.reshape(n, c, h // 2, 2, w // 2, 2)
-        blocks = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-        idx = blocks.argmax(axis=-1)
-        y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+        v00, v01, v10, v11 = (x[..., i::2, j::2] for i, j in _CORNERS)
+        y = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
         if train:
-            self._idx = idx
+            m00 = v00 == y
+            m01 = (v01 == y) & ~m00
+            taken = m00 | m01
+            m10 = (v10 == y) & ~taken
+            taken |= m10
+            self._masks = (m00, m01, m10, np.logical_not(taken, out=taken))
             self._shape = (n, c, h, w)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._shape
-        g = np.zeros((n, c, h // 2, w // 2, 4), dy.dtype)
-        np.put_along_axis(g, self._idx[..., None], dy[..., None], axis=-1)
-        g = g.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return g.reshape(n, c, h, w)
+        dx = np.empty(self._shape, dy.dtype)
+        for (i, j), mask in zip(_CORNERS, self._masks):
+            np.multiply(dy, mask, out=dx[..., i::2, j::2])
+        return dx
 
 
 class UpsampleNearest2x:
@@ -161,8 +170,10 @@ class UpsampleNearest2x:
         return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, c, h2, w2 = dy.shape
-        return dy.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+        # numpy's reshape-and-sum over each block adds in this pairing when
+        # the output is at least two pixels wide, so both round alike there
+        return ((dy[..., 0::2, 0::2] + dy[..., 0::2, 1::2])
+                + (dy[..., 1::2, 0::2] + dy[..., 1::2, 1::2]))
 
 
 class AvgPool:
@@ -288,7 +299,7 @@ def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x4, lifted = _lift(np.asarray(x))
     pool = MaxPool2x2()
     y = pool.forward(x4)
-    idx = pool._idx
+    idx = sum(k * m for k, m in enumerate(pool._masks))
     return (y[0], idx[0]) if lifted else (y, idx)
 
 

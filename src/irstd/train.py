@@ -3,8 +3,8 @@ freeze it, then fit the extractor against the joint loss with the
 classification gradient flowing through the frozen classifier.
 
 The stage order is enforced by the API: extractor training demands a
-FrozenScm handle, and the classifier weights are hashed before and after to
-prove they never moved.
+FrozenScm handle, and the classifier's weight bytes are compared before and
+after to prove they never moved.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .checkpoint import weight_hash
 from .loss import loss_b, loss_t
-from .nn import cross_entropy, softmax
-from .scm import ScmNet, build_scm, feature_count
+from .nn import cross_entropy
+from .scm import ScmNet, feature_count
 from .synth import TrainingTuple
 from .tem import NetConfig, TemNet, build_tem
 from .tensor import Rng
@@ -147,7 +147,6 @@ def train_scm(dataset: list[TrainingTuple], cfg: TrainConfig,
     net = init if init is not None else ScmNet(c_classes, feature_count(h, w), rng)
     opt = Adam(net.parameters(), cfg.beta1, cfg.beta2, cfg.eps)
     log = TrainLog()
-    best = -1.0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         lr = cfg.lr_at(epoch)
@@ -167,14 +166,14 @@ def train_scm(dataset: list[TrainingTuple], cfg: TrainConfig,
                   "seconds": time.perf_counter() - t0}
         if val is not None:
             record["val_accuracy"] = scm_accuracy(net, val)
-            best = max(best, record["val_accuracy"])
         log.add(**record)
     return net, log
 
 
 class FrozenScm:
-    """Classifier locked for stage two. Holds the weight hash taken at
-    freeze time; verify() proves the weights are still byte-identical."""
+    """Classifier locked for stage two. Holds a copy of the weight bytes
+    taken at freeze time; verify() proves the weights are still
+    byte-identical."""
 
     def __init__(self, net: ScmNet):
         self.net = net

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -33,6 +34,13 @@ class TestBudget:
     def test_usage_error_exit_code(self):
         proc = run("budget", "--bc", "x")
         assert proc.returncode == 1
+
+    def test_malformed_workers_env_is_usage_error(self):
+        proc = run("budget", env={**os.environ, "TBC_WORKERS": "abc"})
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "irstd: error: TBC_WORKERS must be an integer, got 'abc'"]
 
 
 class TestSynth:

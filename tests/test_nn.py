@@ -107,7 +107,47 @@ class TestConv:
         assert np.allclose(conv.gb, dy.sum(axis=(0, 2, 3)))
 
 
+def argmax_pool_oracle(x):
+    """The transpose/argmax pool: (pooled, backward function). Ties go to
+    the first maximum in row-major block order."""
+    n, c, h, w = x.shape
+    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    blocks = blocks.reshape(n, c, h // 2, w // 2, 4)
+    idx = blocks.argmax(axis=-1)
+    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+
+    def backward(dy):
+        g = np.zeros((n, c, h // 2, w // 2, 4), dy.dtype)
+        np.put_along_axis(g, idx[..., None], dy[..., None], axis=-1)
+        g = g.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return g.reshape(n, c, h, w)
+
+    return y, idx, backward
+
+
+def tied_relu_batch(seed, shape, dtype):
+    """ReLU'd values on a coarse grid, so most blocks hold ties, plus one
+    all-zero and one all-equal block per map."""
+    x = np.maximum(np.round(Rng(seed).uniform_array(shape, -1, 1, dtype) * 2) / 2, 0)
+    x[..., :2, :2] = 0
+    x[..., -2:, -2:] = 0.5
+    return x
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 6, 10), (16, 4, 64, 64)])
+    def test_matches_argmax_oracle_with_ties(self, shape, dtype):
+        x = tied_relu_batch(sum(shape), shape, dtype)
+        pool = MaxPool2x2()
+        y = pool.forward(x)
+        y_ref, idx_ref, backward_ref = argmax_pool_oracle(x)
+        assert y.dtype == dtype and np.array_equal(y, y_ref)
+        dy = Rng(len(shape)).uniform_array(y.shape, -1, 1, dtype)
+        dx = pool.backward(dy)
+        assert dx.dtype == dtype and np.array_equal(dx, backward_ref(dy))
+        assert np.array_equal(maxpool2(x)[1], idx_ref)
+
     def test_single_block(self):
         y, _ = maxpool2(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
         assert y.shape == (1, 1, 1) and y[0, 0, 0] == 4.0
@@ -147,6 +187,17 @@ class TestMaxPool:
 
 
 class TestUpsample:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 4), (2, 3, 6, 10), (16, 4, 64, 64)])
+    def test_backward_matches_block_sum(self, shape, dtype):
+        # numpy's block reduce adds the four terms pairwise whenever the
+        # output is at least two pixels wide; one pixel wide it adds them in
+        # sequence, so exact equality is only asserted on the wider maps
+        n, c, h2, w2 = shape
+        dy = Rng(h2 + w2).uniform_array(shape, -1, 1, dtype)
+        block_sum = dy.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+        assert np.array_equal(UpsampleNearest2x().backward(dy), block_sum)
+
     def test_single_pixel(self):
         y = upsample_nearest2(np.array([[[5.0]]], dtype=np.float32))
         assert np.array_equal(y, np.full((1, 2, 2), 5.0, np.float32))

@@ -106,6 +106,17 @@ class TestTrainTem:
                   NetConfig(2, 2, 64, 64))
         assert weight_hash(scm_net) == before
 
+    def test_verify_catches_one_ulp_change(self):
+        scm_net = build_scm(4, (64, 64), Rng(20))
+        frozen = freeze_scm(scm_net)
+        w = scm_net.convs[2].w
+        original = w[1, 0, 2, 1]
+        w[1, 0, 2, 1] = np.nextafter(original, np.float32(np.inf))
+        with pytest.raises(AssertionError, match="changed while frozen"):
+            frozen.verify()
+        w[1, 0, 2, 1] = original
+        frozen.verify()
+
     def test_loss_decomposition_identity_each_epoch(self, tiny_dataset):
         scm_net, _ = train_scm(tiny_dataset, TrainConfig(epochs=1, seed=8))
         _, log = train_tem(tiny_dataset, freeze_scm(scm_net),
