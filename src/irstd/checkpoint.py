@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .scm import CHANNELS, ScmNet
-from .tem import NetConfig, TemNet
-from .tensor import Rng
+from .tem import NetConfig, TemNet, budget
 
 MAGIC = b"TBCW"
 KIND_TEM = 0
@@ -81,13 +80,27 @@ def load_weights(path) -> TemNet | ScmNet:
     version, kind = struct.unpack_from("<IB", body, 4)
     if version != 1:
         raise ValueError(f"{path}: unsupported version {version}")
+    # nets are built zeroed (no rng): _fill overwrites every weight
     if kind == KIND_TEM:
         bc, levels = struct.unpack_from("<II", body, 9)
         off = 17
-        net = TemNet(NetConfig(bc, levels, 2**levels, 2**levels), Rng(0))
+        payload = len(body) - off
+        # the header sizes the net, so check it against the payload first;
+        # 12(4^L - 1) >= 4^L, so no depth past the payload's bit length
+        # fits, and stopping there keeps 2^L and 4^L small
+        if levels > payload.bit_length():
+            raise ValueError(f"{path}: {levels} levels cannot fit a {payload}-byte payload")
+        cfg = NetConfig(bc, levels, 2**levels, 2**levels)
+        need = budget(cfg).params
+        if 4 * need != payload:
+            raise ValueError(f"{path}: header (bc={bc}, levels={levels}) needs {need} "
+                             f"float32 values, payload holds {payload / 4:g}")
+        net = TemNet(cfg, None)
     elif kind == KIND_SCM:
         (c_classes,) = struct.unpack_from("<I", body, 9)
         off = 13
+        if c_classes < 2:
+            raise ValueError(f"{path}: {c_classes} classes; a classifier needs at least 2")
         # The linear layer's width is implied by the payload length.
         n_vals = (len(body) - off) // 4
         conv_params = 0
@@ -97,7 +110,7 @@ def load_weights(path) -> TemNet | ScmNet:
         fc_in = (n_vals - conv_params - c_classes) // c_classes
         if fc_in < 1 or conv_params + (fc_in + 1) * c_classes != n_vals:
             raise ValueError(f"{path}: payload size does not fit any classifier shape")
-        net = ScmNet(c_classes, fc_in, Rng(0))
+        net = ScmNet(c_classes, fc_in, None)
     else:
         raise ValueError(f"{path}: unknown checkpoint kind {kind}")
     values = np.frombuffer(body, dtype="<f4", offset=off)

@@ -6,8 +6,12 @@ connected layer; plus ReLU and softmax. Layers operate on (N, C, H, W)
 batches; the module-level helper functions accept single (C, H, W) images.
 
 Convolution uses the cross-correlation convention: weights are applied as
-stored, without a spatial flip. Every backward pass is validated against
-:func:`irstd.tensor.finite_diff_grad` in the test suite.
+stored, without a spatial flip. Its forward pass is im2col plus GEMM, built
+one band of output rows at a time: the band's nine shifted copies of the
+input (its patch matrix) are sized to stay in cache while the GEMM reads
+them, so inference never holds a whole image's patch matrix. Every backward
+pass is validated against :func:`irstd.tensor.finite_diff_grad` in the test
+suite.
 """
 
 from __future__ import annotations
@@ -56,20 +60,38 @@ def _pad1_adjoint(g: np.ndarray, mode: str) -> np.ndarray:
 
 _OFFSETS = [(u, v) for u in range(3) for v in range(3)]
 
+# A band's patch matrix takes at most _BAND_BYTES (half a 2 MiB per-core L2
+# cache), so it is still cached when the GEMM reads it back; but never fewer
+# than _BAND_MIN_PX output pixels, below which the GEMMs of the small, wide
+# deep layers get too narrow to run at speed.
+_BAND_BYTES = 1 << 20
+_BAND_MIN_PX = 1024
 
-def _to_cols(xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(N, C, H+2, W+2) -> (N, 9C, HW) patch matrix, rows ordered
-    (offset, channel), built from nine strided copies."""
-    n, c = xp.shape[:2]
-    cols = np.empty((n, 9 * c, h * w), xp.dtype)
-    for i, (u, v) in enumerate(_OFFSETS):
-        cols[:, i * c:(i + 1) * c] = xp[:, :, u:u + h, v:v + w].reshape(n, c, h * w)
-    return cols
+
+def _band_rows(c: int, w: int, itemsize: int) -> int:
+    """Output rows per band for c input channels on rows w pixels wide."""
+    return max(_BAND_BYTES // (9 * c * w * itemsize), -(-_BAND_MIN_PX // w), 1)
 
 
 class Conv3x3:
     """3x3 convolution, stride 1, padding 1 (zero or replicate), so the
-    spatial size is preserved. TEM layers carry no bias; SCM layers do."""
+    spatial size is preserved. TEM layers carry no bias; SCM layers do.
+
+    forward runs sample by sample and, within a sample, band by band of
+    output rows (see _band_rows). Each band's patch matrix, (9C, rows * W)
+    with rows ordered (offset, channel), is filled by nine strided copies
+    and multiplied by the flattened weights into its slice of the output.
+    In training the bands are slices of one (N, 9C, HW) patch matrix, which
+    backward reuses; in inference one band buffer is reused, so peak memory
+    stays near input plus output.
+
+    Each output element reduces over the same 9C products in the same order
+    as in a whole-image GEMM, so the two agree bit for bit wherever BLAS
+    groups the sums alike at both widths. OpenBLAS runs one output channel
+    as GEMV, which groups by width when 9C is small or at an odd column
+    tail; there the last bit can differ (the output conv of a BC <= 5
+    extractor on 256x256 frames, not the desk or BC 16 shapes).
+    """
 
     def __init__(self, c_in: int, c_out: int, padding: str = "zero",
                  bias: bool = False, rng: Rng | None = None, dtype=DTYPE):
@@ -89,7 +111,7 @@ class Conv3x3:
         self._cols = None
 
     def _w_flat(self) -> np.ndarray:
-        # (c_out, 9 * c_in) with columns ordered like _to_cols rows
+        # (c_out, 9 * c_in) with columns ordered like the patch matrix rows
         return self.w.transpose(0, 2, 3, 1).reshape(self.c_out, 9 * self.c_in)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -97,12 +119,24 @@ class Conv3x3:
             raise ValueError(f"expected {self.c_in} input channels, got {x.shape[1]}")
         if x.shape[2] < 3 or x.shape[3] < 3:
             raise ValueError(f"spatial extents must be >= 3, got {x.shape[2:]}")
-        n, _, h, w = x.shape
-        cols = _to_cols(_pad1(x, self.padding), h, w)
-        y = np.matmul(self._w_flat(), cols).reshape(n, self.c_out, h, w)
+        n, c, h, w = x.shape
+        xp = _pad1(x, self.padding)
+        w_flat = self._w_flat()
+        rows = min(_band_rows(c, w, xp.itemsize), h)
+        y = np.empty((n, self.c_out, h * w), np.result_type(w_flat, xp))
+        cols = np.empty((n, 9, c, h, w) if train else (9, c, rows, w), xp.dtype)
+        for s in range(n):
+            for r0 in range(0, h, rows):
+                r1 = min(r0 + rows, h)
+                band = cols[s, :, :, r0:r1] if train else cols[:, :, :r1 - r0]
+                for i, (u, v) in enumerate(_OFFSETS):
+                    band[i] = xp[s, :, r0 + u:r1 + u, v:v + w]
+                np.matmul(w_flat, band.reshape(9 * c, (r1 - r0) * w),
+                          out=y[s, :, r0 * w:r1 * w])
+        y = y.reshape(n, self.c_out, h, w)
         if self.b is not None:
             y += self.b[:, None, None]
-        self._cols = cols if train else None
+        self._cols = cols.reshape(n, 9 * c, h * w) if train else None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ def feature_count(h: int, w: int) -> int:
 class ScmNet:
     """Built classifier. Construct via :func:`build_scm`."""
 
-    def __init__(self, c_classes: int, fc_in: int, rng: Rng, dtype=DTYPE):
+    def __init__(self, c_classes: int, fc_in: int, rng: Rng | None, dtype=DTYPE):
         if c_classes < 2:
             raise ValueError("need at least 2 classes")
         self.c_classes = c_classes

@@ -95,7 +95,7 @@ def budget(cfg: NetConfig) -> BudgetReport:
 class TemNet:
     """Built extractor network. Construct via :func:`build_tem`."""
 
-    def __init__(self, cfg: NetConfig, rng: Rng, dtype=DTYPE):
+    def __init__(self, cfg: NetConfig, rng: Rng | None, dtype=DTYPE):
         bc, lv = cfg.bc, cfg.levels
         self.cfg = cfg
         self.input_conv = Conv3x3(1, bc, "replicate", bias=False, rng=rng, dtype=dtype)

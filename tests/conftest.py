@@ -1,4 +1,8 @@
+import struct
+
 import numpy as np
+
+from irstd.checkpoint import fnv1a64
 
 
 def max_rel_err(a, b):
@@ -26,3 +30,10 @@ def fd_at_indices(f, x, indices, eps):
 
 def spread_indices(size, count):
     return list(range(0, size, max(1, size // count)))[:count]
+
+
+def write_tem_checkpoint(path, bc, levels, n_values):
+    """A hand-made extractor checkpoint: header (bc, levels), n_values zero
+    floats and a valid FNV-1a trailer, whatever the header claims."""
+    body = b"TBCW" + struct.pack("<IBII", 1, 0, bc, levels) + bytes(4 * n_values)
+    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import write_tem_checkpoint
+
 CLI = [sys.executable, "-m", "irstd"]
 
 
@@ -162,6 +164,18 @@ class TestPipeline:
                    "--out", pipeline / "bad")
         assert proc.returncode == 2
         assert "not an extractor" in proc.stderr
+
+
+class TestHostileCheckpoint:
+    def test_detect_oversized_header_one_line(self, tmp_path):
+        # a checksummed header claiming 8.2e11 parameters over a 40-byte payload
+        model = tmp_path / "big.tbcw"
+        write_tem_checkpoint(model, 4096, 6, 10)
+        proc = run("detect", "--model", model, "--images", tmp_path, "--out", tmp_path / "det")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "needs 824432467968 float32 values" in lines[0]
 
 
 class TestConfigFile:

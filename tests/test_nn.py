@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from irstd import nn
 from irstd.nn import (AvgPool, Conv3x3, Linear, MaxPool2x2, ReLU,
                       UpsampleNearest2x, avgpool, conv2d_forward, cross_entropy,
                       fully_connected, maxpool2, relu, softmax, softmax_backward,
@@ -105,6 +108,108 @@ class TestConv:
 
         assert max_rel_err(conv.gw, finite_diff_grad(loss_of_weights, w0, 1e-5)) < 1e-8
         assert np.allclose(conv.gb, dy.sum(axis=(0, 2, 3)))
+
+
+def patch_matrix_conv_oracle(conv):
+    """The whole-batch im2col conv: (forward, backward) closures over one
+    Conv3x3's weights. forward builds the full (N, 9C, HW) patch matrix with
+    nine reshape copies and runs one batched matmul; backward is the layer's
+    own adjoint of that matrix. Returns the patch matrix with the output."""
+
+    def forward(x):
+        n, c, h, w = x.shape
+        xp = nn._pad1(x, conv.padding)
+        cols = np.empty((n, 9 * c, h * w), xp.dtype)
+        for i, (u, v) in enumerate(nn._OFFSETS):
+            cols[:, i * c:(i + 1) * c] = xp[:, :, u:u + h, v:v + w].reshape(n, c, h * w)
+        y = np.matmul(conv._w_flat(), cols).reshape(n, conv.c_out, h, w)
+        if conv.b is not None:
+            y += conv.b[:, None, None]
+        return y, cols
+
+    def backward(cols, dy):
+        n, _, h, w = dy.shape
+        c = conv.c_in
+        dyf = dy.reshape(n, conv.c_out, h * w)
+        gw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0)
+        gw = gw.reshape(conv.c_out, 3, 3, c).transpose(0, 3, 1, 2)
+        gb = dy.sum(axis=(0, 2, 3)) if conv.b is not None else None
+        dcols = np.matmul(conv._w_flat().T, dyf)
+        dxp = np.zeros((n, c, h + 2, w + 2), dy.dtype)
+        for i, (u, v) in enumerate(nn._OFFSETS):
+            dxp[:, :, u:u + h, v:v + w] += dcols[:, i * c:(i + 1) * c].reshape(n, c, h, w)
+        return nn._pad1_adjoint(dxp, conv.padding), gw, gb
+
+    return forward, backward
+
+
+class TestConvBands:
+    # (N, C_in, C_out, H, W): bands of 4 rows with a short last band of 2;
+    # the extractor's one-channel output conv in bands of 7, 7 and 6 rows;
+    # one band
+    @pytest.mark.parametrize("shape", [(2, 32, 16, 22, 256), (1, 16, 1, 20, 256),
+                                       (3, 2, 5, 7, 9)])
+    @pytest.mark.parametrize("padding", ["zero", "replicate"])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_patch_matrix_oracle(self, shape, padding, bias, dtype):
+        n, c_in, c_out, h, w = shape
+        rng = Rng(sum(shape))
+        conv = Conv3x3(c_in, c_out, padding, bias=bias, rng=rng, dtype=dtype)
+        if bias:
+            conv.b[...] = rng.uniform_array((c_out,), -0.5, 0.5, dtype)
+        x = rng.uniform_array((n, c_in, h, w), -1, 1, dtype)
+        dy = rng.uniform_array((n, c_out, h, w), -1, 1, dtype)
+        forward_ref, backward_ref = patch_matrix_conv_oracle(conv)
+        y_ref, cols_ref = forward_ref(x)
+        dx_ref, gw_ref, gb_ref = backward_ref(cols_ref, dy)
+
+        y_infer = conv.forward(x, train=False)
+        y = conv.forward(x, train=True)
+        dx = conv.backward(dy)
+        assert y.dtype == dtype and np.array_equal(y, y_ref)
+        assert np.array_equal(y_infer, y_ref)
+        assert np.array_equal(dx, dx_ref)
+        assert np.array_equal(conv.gw, gw_ref)
+        assert np.array_equal(conv.gb, gb_ref) if bias else conv.gb is None
+
+    # One output channel runs as OpenBLAS GEMV, which groups its sums by
+    # matrix width at an odd column tail (here in every band) and, when 9C
+    # is small, throughout; so these bands round apart from the whole image
+    @pytest.mark.parametrize("shape", [(1, 64, 1, 60, 21), (1, 2, 1, 256, 256)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_switch_shapes_within_rounding(self, shape, dtype):
+        n, c_in, c_out, h, w = shape
+        rng = Rng(8)
+        conv = Conv3x3(c_in, c_out, "replicate", rng=rng, dtype=dtype)
+        x = rng.uniform_array((n, c_in, h, w), -1, 1, dtype)
+        y_ref, _ = patch_matrix_conv_oracle(conv)[0](x)
+        eps = np.finfo(dtype).eps
+        assert max_rel_err(conv.forward(x, train=False), y_ref) < 64 * eps
+
+    def test_band_rows_at_the_budget_and_the_pixel_floor(self):
+        # 9 * 32 * 256 float32 bytes per row: the 1024-pixel floor (4 rows)
+        # beats the 3 rows that fit the byte budget
+        assert nn._band_rows(32, 256, 4) == 4
+        assert nn._band_rows(1, 256, 4) == nn._BAND_BYTES // (9 * 256 * 4)
+        assert nn._band_rows(256, 16, 4) == 64
+        assert nn._band_rows(1 << 20, 1 << 20, 8) == 1
+
+    def test_inference_holds_one_band_not_the_patch_matrix(self):
+        # the level-1 up conv at 256x256: its full patch matrix is 75 MB
+        conv = Conv3x3(32, 16, "replicate", rng=Rng(3))
+        x = np.ones((1, 32, 256, 256), np.float32)
+        padded = 32 * 258 * 258 * 4
+        out = 16 * 256 * 256 * 4
+        bound = x.nbytes + padded + out + 2 * nn._BAND_BYTES
+        tracemalloc.start()
+        try:
+            y = conv.forward(x, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (1, 16, 256, 256)
+        assert peak < bound < 9 * x.nbytes
 
 
 def argmax_pool_oracle(x):

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
-from irstd.checkpoint import load_weights, save_weights, weight_hash
+from conftest import write_tem_checkpoint
+from irstd import checkpoint
+from irstd.checkpoint import fnv1a64, load_weights, save_weights, weight_hash
 from irstd.tem import (BudgetReport, NetConfig, budget, build_tem,
                        count_actual_ops, count_parameters, extract)
 from irstd.tensor import Rng
@@ -151,4 +155,39 @@ class TestCheckpoint:
         raw[25] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="checksum"):
+            load_weights(path)
+
+    def test_oversized_header_rejected_before_building(self, tmp_path, monkeypatch):
+        # bc 4096, L 6 would ask for 8.2e11 parameters: the size check must
+        # come first, so building any net here fails the test
+        def no_build(*args, **kwargs):
+            raise AssertionError("extractor built from an unchecked header")
+
+        monkeypatch.setattr(checkpoint, "TemNet", no_build)
+        path = tmp_path / "big.tbcw"
+        write_tem_checkpoint(path, 4096, 6, 10)
+        need = budget(NetConfig(4096, 6, 64, 64)).params
+        assert need == 824_432_467_968
+        with pytest.raises(ValueError, match=f"bc=4096, levels=6.*needs {need}.*holds 10"):
+            load_weights(path)
+        write_tem_checkpoint(path, 1, 2**32 - 1, 10)
+        with pytest.raises(ValueError, match="4294967295 levels cannot fit a 40-byte"):
+            load_weights(path)
+        for bc, levels in ((0, 2), (3, 0)):
+            write_tem_checkpoint(path, bc, levels, 0)
+            with pytest.raises(ValueError):
+                load_weights(path)
+
+    def test_payload_one_value_short_rejected(self, tmp_path):
+        path = tmp_path / "short.tbcw"
+        need = count_parameters(build_tem(NetConfig(2, 1, 4, 4), Rng(9)))
+        write_tem_checkpoint(path, 2, 1, need - 1)
+        with pytest.raises(ValueError, match=f"needs {need} float32 values, payload holds {need - 1}$"):
+            load_weights(path)
+
+    def test_classifier_without_classes_rejected(self, tmp_path):
+        path = tmp_path / "scm.tbcw"
+        body = b"TBCW" + struct.pack("<IBI", 1, 1, 0) + bytes(40)
+        path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+        with pytest.raises(ValueError, match="0 classes"):
             load_weights(path)

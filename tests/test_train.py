@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,6 +156,32 @@ class TestTrainTem:
         a, _ = train_tem(tiny_dataset, frozen, cfg, NetConfig(2, 2, 64, 64))
         b, _ = train_tem(tiny_dataset, frozen, cfg, NetConfig(2, 2, 64, 64))
         assert weight_hash(a) == weight_hash(b)
+
+
+TINY_TRAINING = """
+import sys
+from irstd.checkpoint import weight_hash
+from irstd.synth import desk_tuples
+from irstd.tem import NetConfig
+from irstd.train import TrainConfig, freeze_scm, train_scm, train_tem
+data = desk_tuples([4, 4, 4, 4], seed=404)
+scm, _ = train_scm(data, TrainConfig(epochs=1, seed=21))
+tem, _ = train_tem(data, freeze_scm(scm), TrainConfig(epochs=2, seed=22),
+                   NetConfig(4, 3, 64, 64))
+sys.stdout.write((weight_hash(scm) + weight_hash(tem)).hex())
+"""
+
+
+class TestThreadDeterminism:
+    def test_weights_identical_at_one_and_two_blas_threads(self):
+        weights = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", TINY_TRAINING], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            weights[threads] = proc.stdout
+        assert len(weights["1"]) > 0 and weights["1"] == weights["2"]
 
 
 class TestEndToEndGradient:
