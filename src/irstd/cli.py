@@ -175,12 +175,16 @@ def cmd_train_tem(args) -> int:
     return 0
 
 
+def _manifest_rows(path) -> list[dict]:
+    """The manifest's JSON objects, one per non-blank line."""
+    return [json.loads(line) for line in Path(path).read_text().splitlines()
+            if line.strip()]
+
+
 def _frame_paths(args) -> list[Path]:
     if args.manifest:
         base = Path(args.manifest).parent
-        rows = [json.loads(line) for line in Path(args.manifest).read_text().splitlines()
-                if line.strip()]
-        return [base / row["f_D"] for row in rows]
+        return [base / row["f_D"] for row in _manifest_rows(args.manifest)]
     files = sorted(Path(args.images).glob("*.pgm"))
     if not files:
         raise ValueError(f"no .pgm frames in {args.images}")
@@ -206,17 +210,10 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _load_gt(manifest) -> list[list]:
-    rows = [json.loads(line) for line in Path(manifest).read_text().splitlines()
-            if line.strip()]
-    return [[tuple(b) for b in row["boxes"]] for row in rows]
-
-
 def cmd_eval(args) -> int:
-    gts = _load_gt(args.manifest)
+    rows = _manifest_rows(args.manifest)
+    gts = [[tuple(b) for b in row["boxes"]] for row in rows]
     base = Path(args.manifest).parent
-    rows = [json.loads(line) for line in Path(args.manifest).read_text().splitlines()
-            if line.strip()]
     frames = [pgm.read_pgm(base / row["f_D"]) for row in rows]
     if args.scores:
         files = sorted(Path(args.scores).glob("score_*.pgm"))

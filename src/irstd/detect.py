@@ -84,20 +84,34 @@ class Detection:
 def connected_components(mask: np.ndarray, values: np.ndarray | None = None) -> list[Detection]:
     """Detections from a binary mask, ordered by (top, left) of their
     bounding boxes. ``values`` (e.g. the normalised target map) supplies the
-    peak; without it peaks are 1.0."""
+    peak; without it peaks are 1.0.
+
+    One pass over the mask pixels, grouped by label with a stable sort,
+    gives every component's statistics; centroids are exact integer sums
+    over the pixel count, so they equal the per-component means.
+    """
     labels, n = label_mask(mask)
-    detections = []
-    for i in range(1, n + 1):
-        rows, cols = np.nonzero(labels == i)
-        x0, y0 = int(rows.min()), int(cols.min())
-        bbox = (x0, y0, int(rows.max()) - x0 + 1, int(cols.max()) - y0 + 1)
-        peak = float(np.max(values[rows, cols])) if values is not None else 1.0
-        detections.append(Detection(
-            centroid=(float(rows.mean()), float(cols.mean())),
-            pixel_count=int(rows.size),
-            peak_value=peak,
-            bbox=bbox,
-        ))
+    if n == 0:
+        return []
+    rows, cols = np.nonzero(labels)
+    lab = labels[rows, cols]
+    order = np.argsort(lab, kind="stable")
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(lab)[1:]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    x0 = np.minimum.reduceat(rows, starts)
+    y0 = np.minimum.reduceat(cols, starts)
+    h0 = np.maximum.reduceat(rows, starts) - x0 + 1
+    w0 = np.maximum.reduceat(cols, starts) - y0 + 1
+    centroids = zip((np.add.reduceat(rows, starts) / counts).tolist(),
+                    (np.add.reduceat(cols, starts) / counts).tolist())
+    bboxes = zip(x0.tolist(), y0.tolist(), h0.tolist(), w0.tolist())
+    if values is None:
+        peaks = [1.0] * n
+    else:
+        peaks = np.maximum.reduceat(np.asarray(values)[rows, cols], starts).tolist()
+    detections = [Detection(centroid=c, pixel_count=k, peak_value=float(p), bbox=b)
+                  for c, k, p, b in zip(centroids, counts.tolist(), peaks, bboxes)]
     detections.sort(key=lambda d: (d.bbox[0], d.bbox[1]))
     return detections
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .detect import Detection
 
@@ -91,12 +90,16 @@ class RocCurve:
         write_csv(path, ["threshold", "fa", "pd"], self.points)
 
 
+def _dilated_box(box, radius: int) -> tuple[slice, slice]:
+    x0, y0, h0, w0 = _as_box(box)
+    return (slice(max(x0 - radius, 0), x0 + h0 + radius),
+            slice(max(y0 - radius, 0), y0 + w0 + radius))
+
+
 def _dilated_box_mask(shape, boxes, radius: int) -> np.ndarray:
     out = np.zeros(shape, bool)
     for box in boxes:
-        x0, y0, h0, w0 = _as_box(box)
-        out[max(x0 - radius, 0):x0 + h0 + radius,
-            max(y0 - radius, 0):y0 + w0 + radius] = True
+        out[_dilated_box(box, radius)] = True
     return out
 
 
@@ -108,6 +111,12 @@ def roc(score_images: list[np.ndarray], gts: list[list], thresholds,
     detected when the mask touches its dilated box) and Fa = mask pixels
     outside all dilated boxes / total pixels. Fa and Pd are both
     non-increasing in the threshold.
+
+    Each image is scanned once for all thresholds: its scores outside the
+    dilated boxes are sorted and counted above each threshold by binary
+    search, and each box is detected above its dilated window's maximum.
+    Both compare in the dtype that ``image > threshold`` uses, and NaN
+    scores are never above a threshold.
     """
     thresholds = sorted(float(t) for t in thresholds)
     if len(thresholds) < 2:
@@ -116,23 +125,21 @@ def roc(score_images: list[np.ndarray], gts: list[list], thresholds,
         raise ValueError("one ground-truth box list per score image required")
     total_targets = sum(len(b) for b in gts)
     total_pixels = sum(img.size for img in score_images)
-    region_masks = [_dilated_box_mask(img.shape, boxes, radius)
-                    for img, boxes in zip(score_images, gts)]
-    points = []
-    for t in thresholds:
-        detected = 0
-        false_px = 0
-        for img, boxes, region in zip(score_images, gts, region_masks):
-            mask = np.asarray(img) > t
-            false_px += int((mask & ~region).sum())
-            for box in boxes:
-                x0, y0, h0, w0 = _as_box(box)
-                if mask[max(x0 - radius, 0):x0 + h0 + radius,
-                        max(y0 - radius, 0):y0 + w0 + radius].any():
-                    detected += 1
-        pd = detected / total_targets if total_targets else 0.0
-        points.append((t, false_px / total_pixels, pd))
-    return RocCurve(points)
+    detected = np.zeros(len(thresholds), np.int64)
+    false_px = np.zeros(len(thresholds), np.int64)
+    for img, boxes in zip(score_images, gts):
+        img = np.asarray(img)
+        dtype = np.result_type(img, thresholds[0])
+        ts = np.asarray(thresholds).astype(dtype)
+        region = _dilated_box_mask(img.shape, boxes, radius)
+        outside = np.sort(img[~region].astype(dtype))  # NaNs sort last
+        outside = outside[:outside.size - np.count_nonzero(np.isnan(outside))]
+        false_px += outside.size - np.searchsorted(outside, ts, side="right")
+        for box in boxes:
+            window = img[_dilated_box(box, radius)].astype(dtype)
+            detected += np.fmax.reduce(window, axis=None, initial=-np.inf) > ts
+    return RocCurve([(t, f / total_pixels, d / total_targets if total_targets else 0.0)
+                     for t, f, d in zip(thresholds, false_px.tolist(), detected.tolist())])
 
 
 def _ring_pixels(image: np.ndarray, box, width: int) -> np.ndarray:
@@ -175,16 +182,18 @@ def bsf(image_in: np.ndarray, image_out: np.ndarray, box,
 
 # --- filtering baselines ---------------------------------------------------
 
-def _erode(image: np.ndarray, size: int) -> np.ndarray:
-    pad = size // 2
-    padded = np.pad(image, pad, mode="edge")
-    return sliding_window_view(padded, (size, size)).min(axis=(-2, -1))
-
-
-def _dilate(image: np.ndarray, size: int) -> np.ndarray:
-    pad = size // 2
-    padded = np.pad(image, pad, mode="edge")
-    return sliding_window_view(padded, (size, size)).max(axis=(-2, -1))
+def _window_extreme(image: np.ndarray, size: int, reduce) -> np.ndarray:
+    """Square-window ``reduce`` (np.minimum or np.maximum) over the
+    edge-padded image, as two 1-D passes: along rows, then along columns."""
+    h, w = image.shape
+    padded = np.pad(image, size // 2, mode="edge")
+    rows = padded[:, :w].copy()
+    for k in range(1, size):
+        reduce(rows, padded[:, k:k + w], out=rows)
+    out = rows[:h].copy()
+    for k in range(1, size):
+        reduce(out, rows[k:k + h], out=out)
+    return out
 
 
 def tophat(image: np.ndarray, size: int = 5) -> np.ndarray:
@@ -196,10 +205,14 @@ def tophat(image: np.ndarray, size: int = 5) -> np.ndarray:
     image = np.asarray(image, np.float64)
     if min(image.shape) < size:
         raise ValueError(f"image {image.shape} smaller than element {size}")
-    return (image - _dilate(_erode(image, size), size)).astype(np.float32)
+    opened = _window_extreme(_window_extreme(image, size, np.minimum), size, np.maximum)
+    return (image - opened).astype(np.float32)
 
 
 _DIRECTIONS = ("h", "v", "d1", "d2")
+# frame rows per max-median band: the (rows, width, window) float64 buffer
+# is 0.9 MiB for a 256-wide frame and a 15-pixel window
+_MEDIAN_BAND_ROWS = 32
 
 
 def _line_slices(padded: np.ndarray, direction: str, offset: int, pad: int,
@@ -213,6 +226,30 @@ def _line_slices(padded: np.ndarray, direction: str, offset: int, pad: int,
     return padded[pad + offset:pad + offset + h, pad - offset:pad - offset + w]
 
 
+def _median_deficit(image: np.ndarray, lines: list[np.ndarray], buf: np.ndarray) -> np.ndarray:
+    """``image`` minus the median of ``lines`` (views shaped like the image),
+    one band of rows at a time in the reused (rows, width, window) ``buf``.
+    An odd window's median is its middle order statistic. np.median also
+    partitions the largest value last and returns it when it is NaN; that
+    slower partition runs only on frames holding a NaN."""
+    mid, last = len(lines) // 2, len(lines) - 1
+    has_nan = bool(np.isnan(image).any())
+    kth = (mid, last) if has_nan else mid
+    h = image.shape[0]
+    deficit = np.empty_like(image)
+    for r0 in range(0, h, len(buf)):
+        r1 = min(r0 + len(buf), h)
+        band = buf[:r1 - r0]
+        for k, line in enumerate(lines):
+            band[..., k] = line[r0:r1]
+        band.partition(kth, axis=-1)
+        median = band[..., mid]
+        if has_nan:
+            median = np.where(np.isnan(band[..., last]), band[..., last], median)
+        np.subtract(image[r0:r1], median, out=deficit[r0:r1])
+    return deficit
+
+
 def _directional_filter(image: np.ndarray, size: int, reducer: str) -> np.ndarray:
     if size % 2 == 0 or size < 1:
         raise ValueError("window size must be odd and positive")
@@ -222,19 +259,21 @@ def _directional_filter(image: np.ndarray, size: int, reducer: str) -> np.ndarra
     h, w = image.shape
     pad = size // 2
     padded = np.pad(image, pad, mode="edge")
+    if reducer == "median":
+        buf = np.empty((min(_MEDIAN_BAND_ROWS, h), w, size))
     score = None
     for direction in _DIRECTIONS:
+        lines = [_line_slices(padded, direction, offset, pad, h, w)
+                 for offset in range(-pad, pad + 1)]
         if reducer == "mean":
             # mean of (pixel - line value): identical to pixel minus the line
             # mean, but exactly zero on constant images
             acc = np.zeros((h, w), np.float64)
-            for offset in range(-pad, pad + 1):
-                acc += image - _line_slices(padded, direction, offset, pad, h, w)
+            for line in lines:
+                acc += image - line
             deficit = acc / size
         else:
-            stack = np.stack([_line_slices(padded, direction, offset, pad, h, w)
-                              for offset in range(-pad, pad + 1)])
-            deficit = image - np.median(stack, axis=0)
+            deficit = _median_deficit(image, lines, buf)
         score = deficit if score is None else np.minimum(score, deficit)
     return score.astype(np.float32)
 

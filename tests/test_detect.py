@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from irstd.detect import (adaptive_threshold, connected_components, detect,
-                          detections_to_jsonl, label_mask, normalize01)
+from irstd.detect import (Detection, adaptive_threshold, connected_components,
+                          detect, detections_to_jsonl, label_mask, normalize01)
 from irstd.tem import NetConfig, build_tem
 from irstd.tensor import Rng
 
@@ -32,6 +32,26 @@ def flood_fill_oracle(mask):
                             seen[nr, nc] = True
                             queue.append((nr, nc))
     return count
+
+
+def rescan_components(mask, values=None):
+    """The per-component rescan: one ``labels == i`` pass per label, then the
+    stable (top, left) sort."""
+    labels, n = label_mask(mask)
+    detections = []
+    for i in range(1, n + 1):
+        rows, cols = np.nonzero(labels == i)
+        x0, y0 = int(rows.min()), int(cols.min())
+        bbox = (x0, y0, int(rows.max()) - x0 + 1, int(cols.max()) - y0 + 1)
+        peak = float(np.max(values[rows, cols])) if values is not None else 1.0
+        detections.append(Detection(
+            centroid=(float(rows.mean()), float(cols.mean())),
+            pixel_count=int(rows.size),
+            peak_value=peak,
+            bbox=bbox,
+        ))
+    detections.sort(key=lambda d: (d.bbox[0], d.bbox[1]))
+    return detections
 
 
 class TestNormalize:
@@ -136,6 +156,61 @@ class TestComponents:
                 x0, y0, h0, w0 = d.bbox
                 assert x0 <= d.centroid[0] <= x0 + h0 - 1
                 assert y0 <= d.centroid[1] <= y0 + w0 - 1
+
+
+class TestComponentsMatchRescan:
+    """One-pass component statistics against the per-label rescan; Detection
+    equality compares centroids and peaks exactly."""
+
+    @staticmethod
+    def check(mask, values=None):
+        got = connected_components(mask, values)
+        assert got == rescan_components(mask, values)
+        for d in got:
+            assert all(type(v) is float for v in (*d.centroid, d.peak_value))
+            assert all(type(v) is int for v in (d.pixel_count, *d.bbox))
+        return got
+
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_seeded_masks(self, density, dtype):
+        rng = Rng(int(density * 100))
+        for shape in ((24, 24), (17, 41), (64, 64)):
+            mask = rng.uniform_array(shape, 0, 1, np.float64) < density
+            values = rng.uniform_array(shape, 0, 1, dtype)
+            self.check(mask)
+            self.check(mask, values)
+
+    def test_empty_full_and_single_pixel(self):
+        values = Rng(11).uniform_array((9, 7), 0, 1, np.float64)
+        assert self.check(np.zeros((9, 7), bool), values) == []
+        full = self.check(np.ones((9, 7), bool), values)
+        assert len(full) == 1 and full[0].pixel_count == 63
+        assert full[0].centroid == (4.0, 3.0) and full[0].bbox == (0, 0, 9, 7)
+        single = np.zeros((9, 7), bool)
+        single[8, 6] = True
+        assert self.check(single, values)[0].peak_value == float(values[8, 6])
+
+    def test_diagonal_only_chains(self):
+        mask = np.zeros((12, 12), bool)
+        idx = np.arange(4)
+        mask[idx, idx] = mask[idx, 6 - idx] = True  # a V joined at (3, 3)
+        mask[11 - idx[:3], idx[:3]] = True           # a separate rising chain
+        dets = self.check(mask, Rng(12).uniform_array((12, 12)))
+        assert [d.pixel_count for d in dets] == [7, 3]
+
+    def test_shared_top_left_keeps_label_order(self):
+        mask = np.zeros((8, 8), bool)
+        mask[0, 0] = True
+        idx = np.arange(6)
+        mask[idx, 5 - idx] = True  # an anti-diagonal whose bbox also starts at (0, 0)
+        dets = self.check(mask)
+        assert [d.bbox for d in dets] == [(0, 0, 1, 1), (0, 0, 6, 6)]
+        hook = np.zeros((8, 8), bool)
+        hook[0, 0] = True
+        hook[0, 2:] = hook[:, 7] = hook[7, :] = hook[2:, 0] = True  # wraps round (0, 0)
+        dets = self.check(hook)
+        assert [d.bbox for d in dets] == [(0, 0, 1, 1), (0, 0, 8, 8)]
 
 
 class TestPipeline:

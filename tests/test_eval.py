@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from irstd import eval as evalmod
 from irstd.detect import Detection, connected_components
 from irstd.eval import (bsf, detection_rates, match_and_score, max_mean,
                         max_median, roc, scr, scrg, tophat, write_csv)
@@ -119,6 +123,58 @@ class TestRoc:
         assert len(lines) == 4
 
 
+def loop_roc(score_images, gts, thresholds, radius=2):
+    """The threshold-by-threshold sweep: one full-frame mask per threshold
+    and image."""
+    thresholds = sorted(float(t) for t in thresholds)
+    total_targets = sum(len(b) for b in gts)
+    total_pixels = sum(img.size for img in score_images)
+    region_masks = [evalmod._dilated_box_mask(img.shape, boxes, radius)
+                    for img, boxes in zip(score_images, gts)]
+    points = []
+    for t in thresholds:
+        detected = 0
+        false_px = 0
+        for img, boxes, region in zip(score_images, gts, region_masks):
+            mask = np.asarray(img) > t
+            false_px += int((mask & ~region).sum())
+            for x0, y0, h0, w0 in boxes:
+                if mask[max(x0 - radius, 0):x0 + h0 + radius,
+                        max(y0 - radius, 0):y0 + w0 + radius].any():
+                    detected += 1
+        pd = detected / total_targets if total_targets else 0.0
+        points.append((t, false_px / total_pixels, pd))
+    return points
+
+
+class TestRocMatchesLoop:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_seeded_sweeps(self, dtype):
+        rng = Rng(21)
+        for trial in range(12):
+            h, w = 20 + 7 * trial, 64 - 3 * trial
+            images = [rng.uniform_array((h, w), 0, 1, dtype) for _ in range(3)]
+            if trial % 3 == 0:
+                images[0][images[0] < 0.1] = np.nan  # NaN is never above a threshold
+            gts = [[(int(rng.uniform(-4, h)), int(rng.uniform(-4, w)),
+                     int(rng.uniform(0, 5)), int(rng.uniform(0, 5)))
+                    for _ in range(trial % 4)] for _ in images]
+            # thresholds off the float32 grid, repeats and both extremes
+            thresholds = [float(v) for v in rng.uniform_array(30, -0.1, 1.1, np.float64)]
+            thresholds += [0.0, 0.5, 0.5, 1.0, float(np.float32(0.3))]
+            radius = trial % 3
+            got = roc(images, gts, thresholds, radius=radius).points
+            assert got == loop_roc(images, gts, thresholds, radius=radius)
+            assert all(type(v) is float for p in got for v in p)
+
+    def test_integer_and_bool_scores(self):
+        images = [Rng(22).uniform_array((16, 16), 0, 1, np.float64) > 0.6,
+                  (Rng(23).uniform_array((16, 16), 0, 255, np.float64)).astype(np.uint8)]
+        gts = [[(3, 3, 2, 2)], [(8, 1, 3, 3), (0, 12, 2, 2)]]
+        thresholds = [-1.0, 0.0, 0.5, 1.0, 99.5, 200.0, 300.0]
+        assert roc(images, gts, thresholds).points == loop_roc(images, gts, thresholds)
+
+
 class TestContrastMetrics:
     def test_identity_processing(self):
         img = Rng(2).uniform_array((40, 40), 0.1, 0.4, np.float64)
@@ -214,6 +270,75 @@ def oracle_directional(img, size, reducer):
                 best = deficit if best is None else min(best, deficit)
             out[r, c] = best
     return out.astype(np.float32)
+
+
+def window2d_tophat(img, size=5):
+    """The 2-D sliding-window erosion and dilation, in one pass each."""
+    img = np.asarray(img, np.float64)
+    pad = size // 2
+    eroded = sliding_window_view(np.pad(img, pad, mode="edge"), (size, size)).min(axis=(-2, -1))
+    opened = sliding_window_view(np.pad(eroded, pad, mode="edge"),
+                                 (size, size)).max(axis=(-2, -1))
+    return (img - opened).astype(np.float32)
+
+
+def stack_max_median(img, size=15):
+    """Whole-frame directional medians: np.median over a stack of all the
+    window's line offsets."""
+    img = np.asarray(img, np.float64)
+    h, w = img.shape
+    pad = size // 2
+    padded = np.pad(img, pad, mode="edge")
+    score = None
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        stack = np.stack([padded[pad + dr * k:pad + dr * k + h, pad + dc * k:pad + dc * k + w]
+                          for k in range(-pad, pad + 1)])
+        deficit = img - np.median(stack, axis=0)
+        score = deficit if score is None else np.minimum(score, deficit)
+    return score.astype(np.float32)
+
+
+class TestBaselinesMatchWholeFrame:
+    """Separable top-hat and row-banded max-median against the whole-frame
+    forms, byte for byte, on frames of several bands."""
+
+    @pytest.mark.parametrize("shape", [(15, 15), (70, 45), (33, 80), (256, 256)])
+    def test_random_frames(self, shape):
+        rng = Rng(shape[0] * 1000 + shape[1])
+        for img in (rng.uniform_array(shape, 0, 1, np.float32),
+                    rng.uniform_array(shape, 0, 1, np.float64),
+                    # heavy ties: four grey levels
+                    np.floor(rng.uniform_array(shape, 0, 4, np.float64)) / 3):
+            assert tophat(img).tobytes() == window2d_tophat(img).tobytes()
+            assert max_median(img).tobytes() == stack_max_median(img).tobytes()
+
+    @pytest.mark.parametrize("shape", [(15, 15), (70, 45)])
+    def test_loop_oracle_on_short_last_band(self, shape):
+        img = Rng(31).uniform_array(shape)
+        assert np.array_equal(tophat(img), oracle_tophat(img))
+        assert np.array_equal(max_median(img), oracle_directional(img, 15, "median"))
+
+    def test_nan_pixel_matches_median_rule(self):
+        img = Rng(32).uniform_array((70, 45), 0, 1, np.float64)
+        img[40, 20] = np.nan
+        assert max_median(img).tobytes() == stack_max_median(img).tobytes()
+        assert tophat(img).tobytes() == window2d_tophat(img).tobytes()
+
+    def test_max_median_memory_bound(self):
+        img = Rng(33).uniform_array((256, 256), 0, 1, np.float64)
+        frame = img.nbytes
+        padded = 270 * 270 * 8
+        band = evalmod._MEDIAN_BAND_ROWS * 256 * 15 * 8
+        # padded copy, one band, and deficit, running score and np.minimum's
+        # result; the whole-frame stack alone is 15 frames
+        bound = padded + band + 4 * frame
+        tracemalloc.start()
+        try:
+            max_median(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < 15 * frame
 
 
 class TestBaselines:
