@@ -175,16 +175,10 @@ def cmd_train_tem(args) -> int:
     return 0
 
 
-def _manifest_rows(path) -> list[dict]:
-    """The manifest's JSON objects, one per non-blank line."""
-    return [json.loads(line) for line in Path(path).read_text().splitlines()
-            if line.strip()]
-
-
 def _frame_paths(args) -> list[Path]:
     if args.manifest:
         base = Path(args.manifest).parent
-        return [base / row["f_D"] for row in _manifest_rows(args.manifest)]
+        return [base / row["f_D"] for row in synth.manifest_rows(args.manifest)]
     files = sorted(Path(args.images).glob("*.pgm"))
     if not files:
         raise ValueError(f"no .pgm frames in {args.images}")
@@ -211,7 +205,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rows = _manifest_rows(args.manifest)
+    rows = synth.manifest_rows(args.manifest)
     gts = [[tuple(b) for b in row["boxes"]] for row in rows]
     base = Path(args.manifest).parent
     frames = [pgm.read_pgm(base / row["f_D"]) for row in rows]

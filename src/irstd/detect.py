@@ -16,10 +16,15 @@ from .tensor import stats
 
 def normalize01(image: np.ndarray) -> np.ndarray:
     """Min-max rescale to [0, 1]; a flat image maps to all zeros.
-    Idempotent: normalising twice equals normalising once."""
+    Idempotent: an image whose float64 values already span exactly [0, 1]
+    is returned as it is, without a copy, since (x - 0) / (1 - 0) == x (the
+    rescale could only change the sign of a zero). Callers must not write
+    into the result."""
     image = np.asarray(image, np.float64)
     lo = image.min()
     hi = image.max()
+    if lo == 0 and hi == 1:
+        return image
     if hi == lo:
         return np.zeros_like(image)
     return (image - lo) / (hi - lo)
@@ -123,8 +128,9 @@ def detect(net: "tem.TemNet", frame: np.ndarray, k: float = 25.0):
     midpoint of the useful 20-30 band.
     """
     target_map = tem.extract(net, frame)
-    mask = adaptive_threshold(target_map, k)
-    return target_map, mask, connected_components(mask, normalize01(target_map))
+    norm = normalize01(target_map)
+    mask = adaptive_threshold(norm, k)
+    return target_map, mask, connected_components(mask, norm)
 
 
 def detections_to_jsonl(path, per_frame: list[list[Detection]]) -> None:

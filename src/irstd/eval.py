@@ -91,9 +91,12 @@ class RocCurve:
 
 
 def _dilated_box(box, radius: int) -> tuple[slice, slice]:
+    """The box grown by ``radius`` and clipped to the frame; a box wholly
+    above or left of the frame gives an empty window (no negative stop, which
+    would wrap)."""
     x0, y0, h0, w0 = _as_box(box)
-    return (slice(max(x0 - radius, 0), x0 + h0 + radius),
-            slice(max(y0 - radius, 0), y0 + w0 + radius))
+    return (slice(max(x0 - radius, 0), max(x0 + h0 + radius, 0)),
+            slice(max(y0 - radius, 0), max(y0 + w0 + radius, 0)))
 
 
 def _dilated_box_mask(shape, boxes, radius: int) -> np.ndarray:

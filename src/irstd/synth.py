@@ -308,22 +308,21 @@ def write_dataset(out_dir, tuples: list[TrainingTuple]) -> Path:
     return manifest
 
 
+def manifest_rows(path) -> list[dict]:
+    """The manifest's JSON objects, one per non-blank line."""
+    return [json.loads(line) for line in Path(path).read_text().splitlines()
+            if line.strip()]
+
+
 def load_dataset(manifest_path) -> list[TrainingTuple]:
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    out = []
-    for line in manifest_path.read_text().splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        out.append(TrainingTuple(
-            frame=read_pgm(base / row["f_D"]),
-            target=read_pgm(base / row["f_T"]),
-            label=int(row["y_T"]),
-            boxes=[FusionLocation(*b) for b in row["boxes"]],
-            seed_index=int(row.get("seed_index", 0)),
-        ))
-    return out
+    base = Path(manifest_path).parent
+    return [TrainingTuple(
+        frame=read_pgm(base / row["f_D"]),
+        target=read_pgm(base / row["f_T"]),
+        label=int(row["y_T"]),
+        boxes=[FusionLocation(*b) for b in row["boxes"]],
+        seed_index=int(row.get("seed_index", 0)),
+    ) for row in manifest_rows(manifest_path)]
 
 
 def make_dataset(out_dir, counts: list[int], seed: int, **kwargs) -> Path:

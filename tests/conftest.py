@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 
@@ -32,8 +33,17 @@ def spread_indices(size, count):
     return list(range(0, size, max(1, size // count)))[:count]
 
 
-def write_tem_checkpoint(path, bc, levels, n_values):
+def seal(body: bytes) -> bytes:
+    """``body`` plus the trailer its version word asks for: a 64-bit FNV-1a
+    for version 1, otherwise the CRC-32 zero-extended to 64 bits."""
+    version = int.from_bytes(body[4:8], "little")
+    check = fnv1a64(body) if version == 1 else zlib.crc32(body)
+    return body + struct.pack("<Q", check)
+
+
+def write_tem_checkpoint(path, bc, levels, n_values, version=1):
     """A hand-made extractor checkpoint: header (bc, levels), n_values zero
-    floats and a valid FNV-1a trailer, whatever the header claims."""
-    body = b"TBCW" + struct.pack("<IBII", 1, 0, bc, levels) + bytes(4 * n_values)
-    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    floats and a valid trailer for ``version`` (1: FNV-1a, 2: CRC-32),
+    whatever the header claims."""
+    body = b"TBCW" + struct.pack("<IBII", version, 0, bc, levels) + bytes(4 * n_values)
+    path.write_bytes(seal(body))

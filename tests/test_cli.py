@@ -177,6 +177,15 @@ class TestHostileCheckpoint:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "needs 824432467968 float32 values" in lines[0]
 
+    def test_detect_oversized_v2_header_one_line(self, tmp_path):
+        model = tmp_path / "big.tbcw"
+        write_tem_checkpoint(model, 4096, 6, 10, version=2)
+        proc = run("detect", "--model", model, "--images", tmp_path, "--out", tmp_path / "det")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "needs 824432467968 float32 values" in lines[0]
+
 
 class TestConfigFile:
     def test_flags_override_config_file(self, tmp_path):

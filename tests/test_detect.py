@@ -6,7 +6,7 @@ import pytest
 from irstd.detect import (Detection, adaptive_threshold, connected_components,
                           detect, detections_to_jsonl, label_mask, normalize01)
 from irstd.tem import NetConfig, build_tem
-from irstd.tensor import Rng
+from irstd.tensor import Rng, stats
 
 
 def flood_fill_oracle(mask):
@@ -66,6 +66,42 @@ class TestNormalize:
     def test_range(self):
         y = normalize01(Rng(2).uniform_array((8, 8), -1, 1))
         assert y.min() == 0.0 and y.max() == 1.0
+
+    def test_normalised_image_returned_byte_equal(self):
+        once = normalize01(Rng(3).uniform_array((16, 16), -2, 5))
+        assert normalize01(once).tobytes() == once.tobytes()
+        assert normalize01(once).tobytes() == former_normalize01(once).tobytes()
+        # float32 scores spanning [0, 1] come back as the same float64 values
+        f32 = once.astype(np.float32)
+        assert normalize01(f32).tobytes() == former_normalize01(f32).tobytes()
+
+    def test_negative_zero_kept_and_mask_unchanged(self):
+        # the rescale could turn -0.0 into +0.0 when min() picked the other
+        # zero; the shortcut keeps the sign, and no threshold mask can tell
+        once = normalize01(Rng(3).uniform_array((16, 16), -2, 5))
+        once[0, :3] = -0.0
+        assert normalize01(once).tobytes() == once.tobytes()
+        for k in (0.5, 1.0, 2.0):
+            former = former_normalize01(once)
+            mean, std = stats(former)
+            assert np.array_equal(adaptive_threshold(once, k), former > mean + k * std)
+
+    def test_nan_and_near_unit_spans_still_rescaled(self):
+        x = Rng(4).uniform_array((8, 8), 0, 1, np.float64)
+        x[0, 0], x[0, 1] = 0.0, 1.0
+        x[3, 3] = np.nan
+        assert normalize01(x).tobytes() == former_normalize01(x).tobytes()
+        y = np.linspace(0.0, np.nextafter(1.0, 2.0), 9)
+        assert normalize01(y).max() == 1.0 and normalize01(y) is not y
+
+
+def former_normalize01(image):
+    """Min-max rescaling without the already-normalised shortcut."""
+    image = np.asarray(image, np.float64)
+    lo, hi = image.min(), image.max()
+    if hi == lo:
+        return np.zeros_like(image)
+    return (image - lo) / (hi - lo)
 
 
 class TestAdaptiveThreshold:
@@ -221,6 +257,19 @@ class TestPipeline:
         assert target_map.shape == (16, 16)
         assert mask.shape == (16, 16) and mask.dtype == bool
         assert all(d.pixel_count >= 1 for d in dets)
+
+    def test_detect_matches_former_pipeline(self):
+        # the former detect normalised the target map once for the threshold
+        # and once more for the component peaks
+        for seed in range(4):
+            net = build_tem(NetConfig(2, 2, 32, 32), Rng(20 + seed))
+            frame = Rng(30 + seed).uniform_array((32, 32))
+            for k in (0.5, 2.0, 5.0):
+                target_map, mask, dets = detect(net, frame, k=k)
+                want_mask = adaptive_threshold(target_map, k)
+                assert mask.tobytes() == want_mask.tobytes()
+                assert dets == connected_components(want_mask, former_normalize01(target_map))
+                assert dets or k == 5.0
 
     def test_detections_jsonl_schema(self, tmp_path):
         import json

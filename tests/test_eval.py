@@ -110,6 +110,17 @@ class TestRoc:
         t, fa, pd = curve.points[0]
         assert pd == 1.0 and fa == 0.0
 
+    @pytest.mark.parametrize("box", [(-10, -10, 2, 2), (-1000, -1000, 2, 2),
+                                     (-10, 5, 2, 2), (5, -10, 2, 2)])
+    def test_box_off_the_frame_covers_nothing(self, box):
+        # a box wholly above or left of the frame is never detected and
+        # excuses no false alarm, however far off it lies
+        img = np.zeros((32, 32))
+        img[20, 20] = 1.0
+        assert roc([img], [[box]], [0.5, 2.0]).points == [(0.5, 1 / 1024, 0.0),
+                                                          (2.0, 0.0, 0.0)]
+        assert not evalmod._dilated_box_mask(img.shape, [box], 2).any()
+
     def test_too_few_thresholds_rejected(self):
         with pytest.raises(ValueError, match="2 thresholds"):
             roc(self.images, self.gts, [0.5])
@@ -139,8 +150,8 @@ def loop_roc(score_images, gts, thresholds, radius=2):
             mask = np.asarray(img) > t
             false_px += int((mask & ~region).sum())
             for x0, y0, h0, w0 in boxes:
-                if mask[max(x0 - radius, 0):x0 + h0 + radius,
-                        max(y0 - radius, 0):y0 + w0 + radius].any():
+                if mask[max(x0 - radius, 0):max(x0 + h0 + radius, 0),
+                        max(y0 - radius, 0):max(y0 + w0 + radius, 0)].any():
                     detected += 1
         pd = detected / total_targets if total_targets else 0.0
         points.append((t, false_px / total_pixels, pd))

@@ -1,11 +1,13 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from conftest import write_tem_checkpoint
+from conftest import seal, write_tem_checkpoint
 from irstd import checkpoint
 from irstd.checkpoint import fnv1a64, load_weights, save_weights, weight_hash
+from irstd.scm import build_scm
 from irstd.tem import (BudgetReport, NetConfig, budget, build_tem,
                        count_actual_ops, count_parameters, extract)
 from irstd.tensor import Rng
@@ -140,7 +142,7 @@ class TestCheckpoint:
         save_weights(path, net)
         raw = path.read_bytes()
         assert raw[:4] == b"TBCW"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
         assert raw[8] == 0  # extractor kind
         assert int.from_bytes(raw[9:13], "little") == 2
         assert int.from_bytes(raw[13:17], "little") == 1
@@ -190,4 +192,106 @@ class TestCheckpoint:
         body = b"TBCW" + struct.pack("<IBI", 1, 1, 0) + bytes(40)
         path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
         with pytest.raises(ValueError, match="0 classes"):
+            load_weights(path)
+
+
+def v1_bytes(net) -> bytes:
+    """What version 1 wrote for ``net``: its header, the float32 weights and
+    a 64-bit FNV-1a trailer."""
+    if hasattr(net, "cfg"):
+        head = struct.pack("<IBII", 1, checkpoint.KIND_TEM, net.cfg.bc, net.cfg.levels)
+    else:
+        head = struct.pack("<IBI", 1, checkpoint.KIND_SCM, net.c_classes)
+    body = b"TBCW" + head + checkpoint._payload(net)
+    return body + struct.pack("<Q", fnv1a64(body))
+
+
+class TestCheckpointVersions:
+    @pytest.mark.parametrize("make", [
+        lambda: build_tem(NetConfig(4, 3, 64, 64), Rng(9)),
+        lambda: build_scm(3, (32, 32), Rng(12)),
+    ], ids=["extractor", "classifier"])
+    def test_v1_file_loads_and_resaves_as_v2(self, tmp_path, make):
+        net = make()
+        old = v1_bytes(net)
+        (tmp_path / "v1.tbcw").write_bytes(old)
+        loaded = load_weights(tmp_path / "v1.tbcw")
+        assert type(loaded) is type(net)
+        assert weight_hash(loaded) == weight_hash(net)
+        save_weights(tmp_path / "v2.tbcw", loaded)
+        new = (tmp_path / "v2.tbcw").read_bytes()
+        assert len(new) == len(old)
+        # only the version word and the trailer differ
+        assert new[:4] == old[:4] and new[8:-8] == old[8:-8]
+        assert int.from_bytes(new[4:8], "little") == 2
+        assert new[-8:] == struct.pack("<Q", zlib.crc32(new[:-8]))
+        assert new[-8:] != old[-8:]
+
+    @pytest.mark.parametrize("where", [25, -8])
+    def test_v2_flipped_byte_fails_checksum(self, tmp_path, where):
+        # a payload byte, then the trailer's low byte
+        path = tmp_path / "t.tbcw"
+        save_weights(path, build_tem(NetConfig(2, 1, 4, 4), Rng(9)))
+        raw = bytearray(path.read_bytes())
+        raw[where] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="checksum"):
+            load_weights(path)
+
+    def test_v2_trailer_upper_half_must_be_zero(self, tmp_path):
+        path = tmp_path / "t.tbcw"
+        save_weights(path, build_tem(NetConfig(2, 1, 4, 4), Rng(9)))
+        raw = path.read_bytes()
+        crc = zlib.crc32(raw[:-8])
+        path.write_bytes(raw[:-8] + struct.pack("<Q", crc | 1 << 32))
+        with pytest.raises(ValueError, match="checksum"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("version", [0, 3, 2**32 - 1])
+    def test_other_versions_unsupported(self, tmp_path, version):
+        path = tmp_path / "t.tbcw"
+        save_weights(path, build_tem(NetConfig(2, 1, 4, 4), Rng(9)))
+        body = bytearray(path.read_bytes()[:-8])
+        body[4:8] = struct.pack("<I", version)
+        path.write_bytes(seal(bytes(body)))
+        with pytest.raises(ValueError, match=f"unsupported version {version}$"):
+            load_weights(path)
+
+    def test_v2_oversized_header_rejected_before_building(self, tmp_path, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("extractor built from an unchecked header")
+
+        monkeypatch.setattr(checkpoint, "TemNet", no_build)
+        path = tmp_path / "big.tbcw"
+        write_tem_checkpoint(path, 4096, 6, 10, version=2)
+        with pytest.raises(ValueError, match="bc=4096, levels=6.*needs 824432467968.*holds 10"):
+            load_weights(path)
+        write_tem_checkpoint(path, 1, 2**32 - 1, 10, version=2)
+        with pytest.raises(ValueError, match="4294967295 levels cannot fit a 40-byte"):
+            load_weights(path)
+        for bc, levels in ((0, 2), (3, 0)):
+            write_tem_checkpoint(path, bc, levels, 0, version=2)
+            with pytest.raises(ValueError):
+                load_weights(path)
+
+    def test_v2_payload_one_value_short_rejected(self, tmp_path):
+        path = tmp_path / "short.tbcw"
+        need = count_parameters(build_tem(NetConfig(2, 1, 4, 4), Rng(9)))
+        write_tem_checkpoint(path, 2, 1, need - 1, version=2)
+        with pytest.raises(ValueError, match=f"needs {need} float32 values, payload holds {need - 1}$"):
+            load_weights(path)
+
+    def test_v2_classifier_without_classes_rejected(self, tmp_path):
+        path = tmp_path / "scm.tbcw"
+        path.write_bytes(seal(b"TBCW" + struct.pack("<IBI", 2, 1, 0) + bytes(40)))
+        with pytest.raises(ValueError, match="0 classes"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_header_cut_short_rejected(self, tmp_path, version, kind):
+        # a sealed file that ends inside the config words
+        path = tmp_path / "cut.tbcw"
+        path.write_bytes(seal(b"TBCW" + struct.pack("<IB", version, kind) + bytes(3)))
+        with pytest.raises(ValueError, match="header cut short"):
             load_weights(path)
