@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -113,18 +114,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_train_cfg(args, defaults: train.TrainConfig) -> train.TrainConfig:
-    base = train.train_config_to_dict(defaults)
+def _load_train_cfg(args) -> train.TrainConfig:
+    """The --config file's TrainConfig with the flags given laid over it."""
+    cfg = train.TrainConfig()
     if args.config:
-        base.update(json.loads(Path(args.config).read_text()))
-    for key in ("batch_size", "epochs", "lr", "weight"):
-        value = getattr(args, key, None)
-        if value is not None:
-            base[key] = value
-    base["seed"] = args.seed
+        cfg = train.train_config_from_dict(json.loads(Path(args.config).read_text()))
+    flags = {key: getattr(args, key, None) for key in ("batch_size", "epochs", "lr", "weight")}
     if getattr(args, "decay_epochs", None):
-        base["decay_epochs"] = [int(v) for v in args.decay_epochs.split(",")]
-    return train.train_config_from_dict(base)
+        flags["decay_epochs"] = tuple(int(v) for v in args.decay_epochs.split(","))
+    return dataclasses.replace(cfg, seed=args.seed,
+                               **{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_sidecar(out_dir: Path, cfg: train.TrainConfig, log: train.TrainLog,
@@ -135,9 +134,9 @@ def _write_sidecar(out_dir: Path, cfg: train.TrainConfig, log: train.TrainLog,
 
 
 def cmd_train_scm(args) -> int:
+    cfg = _load_train_cfg(args)
     dataset = synth.load_dataset(args.manifest)
     val = synth.load_dataset(args.val_manifest) if args.val_manifest else None
-    cfg = _load_train_cfg(args, train.TrainConfig())
     init = checkpoint.load_weights(args.init) if args.init else None
     net, log = train.train_scm(dataset, cfg, val=val, c_classes=args.classes,
                                init=init)
@@ -155,10 +154,10 @@ def cmd_train_tem(args) -> int:
     if not args.scm:
         raise ValueError("SCM checkpoint required: train the classifier stage "
                          "first (train-scm) and pass it with --scm")
+    cfg = _load_train_cfg(args)
     scm_net = checkpoint.load_weights(args.scm)
     dataset = synth.load_dataset(args.manifest)
     h, w = dataset[0].frame.shape
-    cfg = _load_train_cfg(args, train.TrainConfig())
     net_cfg = tem.NetConfig(args.bc, args.levels, h, w)
     frozen = train.freeze_scm(scm_net)
     init = checkpoint.load_weights(args.init) if args.init else None

@@ -1,6 +1,7 @@
-"""Joint training loss: reconstruction (L1 + SSIM), sparsity, and the
-classification constraint, with analytic gradients with respect to the
-extractor output.
+"""Reconstruction and sparsity terms of the joint training loss, with
+analytic gradients with respect to the extractor output. The joint loss
+itself, which adds the classification constraint, is
+:func:`irstd.train.joint_loss`.
 
 Per-image losses are pixel means, so magnitudes are resolution independent;
 batch averaging is the trainer's job. SSIM uses uniform (box) 11x11 windows
@@ -11,8 +12,6 @@ and its adjoint _box_scatter.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,48 +109,3 @@ def loss_b(pred: np.ndarray) -> tuple[float, np.ndarray]:
     pushing the background to exactly zero. Subgradient sign(pred)."""
     pred = np.asarray(pred, np.float64)
     return float(np.abs(pred).mean()), np.sign(pred) / pred.size
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """The joint loss and its pieces. Invariants: target == l1 + ssim_term
-    and total == target + sparsity + weight * classification."""
-
-    l1: float
-    ssim_term: float
-    target: float
-    sparsity: float
-    classification: float
-    weight: float
-    total: float
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if abs(self.target - (self.l1 + self.ssim_term)) > tol:
-            raise AssertionError("target term does not decompose")
-        if abs(self.total - (self.target + self.sparsity
-                             + self.weight * self.classification)) > tol:
-            raise AssertionError("total does not decompose")
-
-
-def loss_tbc(pred: np.ndarray, target: np.ndarray, label: int | None = None,
-             classifier=None, weight: float = 1.0) -> tuple[LossBreakdown, np.ndarray]:
-    """Joint loss on one image and its gradient with respect to the
-    prediction: the sum of the reconstruction, sparsity and (when a frozen
-    classifier and label are given) classification gradients.
-
-    The classification piece backpropagates through the classifier to the
-    input image; the classifier's own parameters are never updated here.
-    """
-    if weight < 0:
-        raise ValueError("classification weight must be >= 0")
-    l1, ls, g_t = loss_t(pred, target)
-    lb, g_b = loss_b(pred)
-    if classifier is not None:
-        from .scm import scm_forward_backward
-        lc, g_c = scm_forward_backward(classifier, pred, label)
-        grad = g_t + g_b + weight * g_c.astype(np.float64)
-    else:
-        lc = 0.0
-        grad = g_t + g_b
-    total = l1 + ls + lb + weight * lc
-    return LossBreakdown(l1, ls, l1 + ls, lb, lc, weight, total), grad

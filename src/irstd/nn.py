@@ -2,8 +2,9 @@
 
 Five kernels: 3x3 convolution (stride 1, zero or replicate padding), 2x2 max
 pooling, nearest-neighbour x2 upsampling, average pooling, and a fully
-connected layer; plus ReLU and softmax. Layers operate on (N, C, H, W)
-batches; the module-level helper functions accept single (C, H, W) images.
+connected layer; plus ReLU, softmax and the cross-entropy gradient at the
+logits. Layers operate on (N, C, H, W) batches, the linear layer on
+(N, features).
 
 Convolution uses the cross-correlation convention: weights are applied as
 stored, without a spatial flip. Its forward pass is im2col plus GEMM, built
@@ -22,15 +23,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import DTYPE, Rng
-
-
-def _lift(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote (C, H, W) to (1, C, H, W); report whether we did."""
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ValueError(f"expected 3-D or 4-D input, got shape {x.shape}")
 
 
 def _pad1(x: np.ndarray, mode: str) -> np.ndarray:
@@ -283,22 +275,12 @@ class ReLU:
         return dy * self._mask
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x), 0)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stabilised by max subtraction; outputs sum to 1."""
     x = np.asarray(x, dtype=np.float64)
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_backward(dy: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Jacobian-vector product given the softmax output y."""
-    dot = (dy * y).sum(axis=axis, keepdims=True)
-    return y * (dy - dot)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,40 +300,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0
     return losses, dlogits
-
-
-# Single-image helpers used by the contracts and tests.
-
-def conv2d_forward(layer: Conv3x3, x: np.ndarray) -> np.ndarray:
-    x4, lifted = _lift(np.asarray(x))
-    y = layer.forward(x4, train=False)
-    return y[0] if lifted else y
-
-
-def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (pooled, argmax indices in 0..3 per 2x2 block)."""
-    x4, lifted = _lift(np.asarray(x))
-    pool = MaxPool2x2()
-    y = pool.forward(x4)
-    idx = sum(k * m for k, m in enumerate(pool._masks))
-    return (y[0], idx[0]) if lifted else (y, idx)
-
-
-def upsample_nearest2(x: np.ndarray) -> np.ndarray:
-    x4, lifted = _lift(np.asarray(x))
-    y = UpsampleNearest2x().forward(x4, train=False)
-    return y[0] if lifted else y
-
-
-def avgpool(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    x4, lifted = _lift(np.asarray(x))
-    y = AvgPool(k, stride).forward(x4, train=False)
-    return y[0] if lifted else y
-
-
-def fully_connected(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w = np.asarray(w)
-    x = np.asarray(x)
-    if w.shape[1] != x.shape[-1]:
-        raise ValueError(f"dimension mismatch: {w.shape} @ {x.shape}")
-    return w @ x + b

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import AvgPool, Conv3x3, Linear, MaxPool2x2, ReLU, cross_entropy, softmax
+# cross_entropy stays importable here: perfbench/tracer.py wraps scm.cross_entropy
+from .nn import AvgPool, Conv3x3, Linear, MaxPool2x2, ReLU, cross_entropy, softmax  # noqa: F401
 from .tensor import DTYPE, Rng
 
 CHANNELS = (32, 64, 32, 16)
@@ -116,18 +117,3 @@ def classify(net: ScmNet, image: np.ndarray) -> np.ndarray:
     dtype = net.convs[0].w.dtype
     logits = net.forward(image[None, None].astype(dtype, copy=False), train=False)
     return softmax(logits[0])
-
-
-def scm_forward_backward(net: ScmNet, image: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss of one image and, crucially, its gradient with
-    respect to the input image: the constraint signal that flows back into
-    the extractor. Parameter gradients are left on the layers; during
-    extractor training they are simply never applied."""
-    image = np.asarray(image)
-    if not 0 <= label < net.c_classes:
-        raise ValueError(f"label {label} out of range [0, {net.c_classes - 1}]")
-    dtype = net.convs[0].w.dtype
-    logits = net.forward(image[None, None].astype(dtype, copy=False), train=True)
-    losses, dlogits = cross_entropy(logits, np.array([label]))
-    d_input = net.backward(dlogits.astype(dtype))
-    return float(losses[0]), d_input[0, 0]

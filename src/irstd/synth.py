@@ -325,11 +325,6 @@ def load_dataset(manifest_path) -> list[TrainingTuple]:
     ) for row in manifest_rows(manifest_path)]
 
 
-def make_dataset(out_dir, counts: list[int], seed: int, **kwargs) -> Path:
-    """Generate and write a dataset; returns the manifest path."""
-    return write_dataset(out_dir, generate_tuples(counts, seed, **kwargs))
-
-
 def desk_templates() -> list[np.ndarray]:
     """Sharp-cored blobs for the desk-scale recipe: one dominant pixel with a
     faint fusable skirt, so three targets stay under the adaptive threshold's

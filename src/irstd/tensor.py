@@ -98,37 +98,6 @@ class Rng:
         return Rng(mix64(mix64(seed) + _GAMMA * (index + 1)))
 
 
-_ELEMENTWISE = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "max": np.maximum,
-}
-
-
-def elementwise(op: str, a, b) -> np.ndarray:
-    """Pure elementwise op on equal-shape arrays (or array/scalar).
-
-    ``op`` is one of add/sub/mul/max/clamp; for clamp, ``b`` is a (lo, hi)
-    pair. No broadcasting: a shape mismatch is an error. The result must be
-    finite.
-    """
-    a = np.asarray(a, dtype=DTYPE)
-    if op == "clamp":
-        lo, hi = b
-        out = np.clip(a, lo, hi)
-    elif op in _ELEMENTWISE:
-        b_arr = np.asarray(b, dtype=DTYPE)
-        if b_arr.ndim != 0 and b_arr.shape != a.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b_arr.shape}")
-        out = _ELEMENTWISE[op](a, b_arr)
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"non-finite values in elementwise {op!r} result")
-    return out
-
-
 def stats(t) -> tuple[float, float]:
     """Mean and population standard deviation (divide by N), accumulated in
     float64."""

@@ -9,6 +9,7 @@ after to prove they never moved.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -23,6 +24,7 @@ from .tem import NetConfig, TemNet, build_tem
 from .tensor import Rng
 
 LOSS_MODES = ("target", "target_sparsity", "joint")
+LOSS_TERMS = ("l1", "ssim_term", "sparsity", "classification")
 
 
 class NumericalFailure(RuntimeError):
@@ -52,8 +54,13 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"weight must be >= 0 and finite, got {self.weight}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ValueError("decay epochs must be strictly increasing")
 
@@ -97,19 +104,6 @@ class Adam:
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: Adam, lr: float) -> None:
-    """Single adaptive-moment update of ``params`` in place."""
-    state.step(grads, lr)
-
-
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-    """Plain gradient descent: p <- p - lr * g. Zero gradient leaves the
-    parameters untouched."""
-    for p, g in zip(params, grads):
-        p -= lr * g.astype(p.dtype, copy=False)
 
 
 def _batches(n: int, batch_size: int, rng: Rng):
@@ -188,13 +182,48 @@ def freeze_scm(net: ScmNet) -> FrozenScm:
     return FrozenScm(net)
 
 
+def joint_loss(preds: np.ndarray, targets: np.ndarray, labels: np.ndarray,
+               scm_net: ScmNet | None, weight: float, mode: str = "joint",
+               sums: dict | None = None) -> tuple[dict, np.ndarray]:
+    """The joint loss of a batch of (N, 1, H, W) extractor outputs and its
+    float64 gradient with respect to ``preds``.
+
+    Returns the terms summed over the batch (per-image ``l1``, ``ssim_term``
+    and ``sparsity`` means, and the frozen classifier's cross-entropy at
+    ``labels`` as ``classification``) and the gradient of their batch mean,
+    with the classification term weighted by ``weight``. "target_sparsity"
+    mode drops the classification term and does not run the classifier;
+    "target" mode drops sparsity too. Given ``sums``, terms are added into
+    it image by image, so running totals keep one accumulation order.
+    Classifier parameter gradients are left on its layers, never applied.
+    """
+    if mode not in LOSS_MODES:
+        raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
+    n = len(preds)
+    sums = dict.fromkeys(LOSS_TERMS, 0.0) if sums is None else sums
+    grad = np.zeros_like(preds, dtype=np.float64)
+    for j in range(n):
+        l1, ls, g_t = loss_t(preds[j, 0], targets[j, 0])
+        sums["l1"] += l1
+        sums["ssim_term"] += ls
+        grad[j, 0] += g_t / n
+        if mode != "target":
+            lb, g_b = loss_b(preds[j, 0])
+            sums["sparsity"] += lb
+            grad[j, 0] += g_b / n
+    if mode == "joint":
+        ce, dlogits = cross_entropy(scm_net.forward(preds), labels)
+        sums["classification"] += float(ce.sum())
+        grad += scm_net.backward((dlogits * (weight / n)).astype(preds.dtype))
+    return sums, grad
+
+
 def train_tem(dataset: list[TrainingTuple], scm: FrozenScm, cfg: TrainConfig,
               net_cfg: NetConfig, loss_mode: str = "joint", debug_dir=None,
               init: TemNet | None = None) -> tuple[TemNet, TrainLog]:
-    """Stage two: fit the extractor. Per batch, the joint gradient with
-    respect to the extractor output is assembled from the reconstruction,
-    sparsity and (in joint mode) classification pieces, then pushed through
-    the extractor. Classifier parameter gradients are computed and discarded.
+    """Stage two: fit the extractor. Per batch, :func:`joint_loss` gives the
+    gradient with respect to the extractor output, which is pushed through
+    the extractor.
 
     ``loss_mode``: "joint" (full), "target_sparsity", or "target" -- the
     ablations keep the same plumbing with pieces dropped. ``init`` resumes
@@ -203,43 +232,23 @@ def train_tem(dataset: list[TrainingTuple], scm: FrozenScm, cfg: TrainConfig,
     if not isinstance(scm, FrozenScm):
         raise TypeError("extractor training requires a frozen classifier handle; "
                         "train the classifier first and wrap it with freeze_scm")
-    if loss_mode not in LOSS_MODES:
-        raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
     if not dataset:
         raise ValueError("empty dataset")
     rng = Rng(cfg.seed)
     net = init if init is not None else build_tem(net_cfg, rng)
     opt = Adam(net.parameters(), cfg.beta1, cfg.beta2, cfg.eps)
     log = TrainLog()
-    use_c = loss_mode == "joint"
-    use_b = loss_mode != "target"
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         lr = cfg.lr_at(epoch)
-        sums = {"l1": 0.0, "ssim_term": 0.0, "sparsity": 0.0, "classification": 0.0}
+        sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for idx in _batches(len(dataset), cfg.batch_size, rng):
             frames = _stack(dataset, idx, "frame")
-            labels = np.array([dataset[i].label for i in idx])
             preds = net.forward(frames)
-            grad = np.zeros_like(preds, dtype=np.float64)
-            n = len(idx)
-            for j, i in enumerate(idx):
-                l1, ls, g_t = loss_t(preds[j, 0], dataset[i].target)
-                sums["l1"] += l1
-                sums["ssim_term"] += ls
-                grad[j, 0] += g_t / n
-                if use_b:
-                    lb, g_b = loss_b(preds[j, 0])
-                    sums["sparsity"] += lb
-                    grad[j, 0] += g_b / n
-            if use_c:
-                logits = scm.net.forward(preds)
-                ce, dlogits = cross_entropy(logits, labels)
-                sums["classification"] += float(ce.sum())
-                scale = cfg.weight / n
-                grad += scm.net.backward((dlogits * scale).astype(np.float32))
-            batch_terms = [sums[k] for k in sums]
-            if not all(np.isfinite(v) for v in batch_terms):
+            _, grad = joint_loss(preds, _stack(dataset, idx, "target"),
+                                 np.array([dataset[i].label for i in idx]),
+                                 scm.net, cfg.weight, loss_mode, sums)
+            if not all(np.isfinite(v) for v in sums.values()):
                 if debug_dir is not None:
                     _dump_batch(debug_dir, frames, preds)
                 raise NumericalFailure(
@@ -271,8 +280,29 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return d
 
 
-def train_config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
+def train_config_from_dict(d) -> TrainConfig:
+    """TrainConfig from a JSON object. A key TrainConfig does not have, or a
+    value of the wrong type, is a ValueError that names the key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"training config must be a JSON object, got {type(d).__name__}")
+    defaults = train_config_to_dict(TrainConfig())
+    for key, value in d.items():
+        if key not in defaults:
+            raise ValueError(f"unknown training config key {key!r}")
+        if not _same_type(value, defaults[key]):
+            raise ValueError(f"training config key {key!r} has a value of the "
+                             f"wrong type: {value!r}")
     if "decay_epochs" in d:
-        d["decay_epochs"] = tuple(d["decay_epochs"])
+        d = {**d, "decay_epochs": tuple(d["decay_epochs"])}
     return TrainConfig(**d)
+
+
+def _same_type(value, default) -> bool:
+    """Whether a JSON value fits a field whose default is ``default``: ints
+    for int fields, numbers for float fields, a list of ints for lists."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_type(v, 0) for v in value)
+    return isinstance(value, int) or (isinstance(value, float)
+                                      and isinstance(default, float))

@@ -19,7 +19,7 @@ from irstd.eval import (detection_rates, match_and_score, max_mean, max_median,
 from irstd.loss import loss_b, loss_t, ssim
 from irstd.nn import (AvgPool, Conv3x3, Linear, MaxPool2x2, ReLU,
                       UpsampleNearest2x, cross_entropy, softmax)
-from irstd.scm import build_scm, classify, scm_forward_backward
+from irstd.scm import build_scm, classify
 from irstd.synth import (FusionLocation, bilinear_resize, count_components,
                          desk_tuples, fuse_one, gaussian_template,
                          generate_tuples, write_dataset)

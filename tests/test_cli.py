@@ -202,3 +202,43 @@ class TestConfigFile:
         doc = json.loads((out / "train_log.json").read_text())
         assert doc["config"]["epochs"] == 1          # flag wins
         assert doc["config"]["batch_size"] == 4      # file value kept
+
+
+def train_args(pipeline, stage):
+    args = ["--manifest", pipeline / "data" / "manifest.jsonl", "--seed", 5,
+            "--out", pipeline / f"bad_{stage}"]
+    if stage == "train-tem":
+        args += ["--scm", pipeline / "scm" / "scm.tbcw"]
+    return [stage, *args]
+
+
+def assert_one_line_data_error(proc, text):
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and text in lines[0], proc.stderr
+
+
+class TestBadTrainingOptions:
+    @pytest.mark.parametrize("stage,flags,text", [
+        ("train-tem", ["--weight", "-3"], "weight must be >= 0"),
+        ("train-tem", ["--weight", "inf"], "weight must be >= 0"),
+        ("train-scm", ["--epochs", "0"], "epochs must be >= 1"),
+        ("train-tem", ["--batch-size", "0"], "batch_size must be >= 1"),
+        ("train-scm", ["--lr", "nan"], "lr must be positive and finite")],
+        ids=["weight-negative", "weight-inf", "epochs-0", "batch-size-0", "lr-nan"])
+    def test_flag_rejected_in_one_line(self, pipeline, stage, flags, text):
+        proc = run(*train_args(pipeline, stage), *flags)
+        assert_one_line_data_error(proc, text)
+        assert not (pipeline / f"bad_{stage}").exists()
+
+    @pytest.mark.parametrize("doc,text", [
+        ({"epochs": 1, "momentum": 0.9}, "unknown training config key 'momentum'"),
+        ({"lr": "x"}, "training config key 'lr' has a value of the wrong type"),
+        ([1, 2], "training config must be a JSON object, got list")],
+        ids=["unknown-key", "wrong-type", "not-an-object"])
+    def test_malformed_config_file_rejected_in_one_line(self, pipeline, tmp_path,
+                                                        doc, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        proc = run(*train_args(pipeline, "train-scm"), "--config", cfg)
+        assert_one_line_data_error(proc, text)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from irstd.loss import (LossBreakdown, loss_b, loss_t, loss_tbc, ssim,
-                        ssim_with_grad)
+from irstd.loss import loss_b, loss_t, ssim, ssim_with_grad
+from irstd.nn import cross_entropy
 from irstd.scm import build_scm
 from irstd.tensor import Rng, finite_diff_grad
+from irstd.train import TrainConfig, joint_loss
 
 
 def max_rel_err(a, b):
@@ -133,64 +134,79 @@ def _l1_only(pred, truth):
 
 
 class TestLossTbc:
+    """The joint loss L_TBC as the trainer runs it: batch sums of the terms
+    and the gradient of their batch mean."""
+
     def test_decomposition_identity(self):
         rng = Rng(12)
         net = build_scm(4, (64, 64), rng)
-        pred = rng.uniform_array((64, 64))
-        truth = rng.uniform_array((64, 64))
-        breakdown, _ = loss_tbc(pred, truth, label=1, classifier=net, weight=0.7)
-        breakdown.validate()
-        assert breakdown.weight == 0.7
-        assert breakdown.classification > 0.0
+        preds = rng.uniform_array((2, 1, 64, 64))
+        truths = rng.uniform_array((2, 1, 64, 64))
+        terms, _ = joint_loss(preds, truths, np.array([1, 3]), net, 0.7)
+        per_image = [loss_t(p[0], t[0])[:2] + (loss_b(p[0])[0],)
+                     for p, t in zip(preds, truths)]
+        for k, key in enumerate(("l1", "ssim_term", "sparsity")):
+            assert terms[key] == per_image[0][k] + per_image[1][k]
+        assert terms["classification"] > 0.0
 
     def test_negative_sample_global_minimum(self):
         # perfect empty extraction plus a confident class-0 head: total ~ 0
         net = build_scm(4, (64, 64), Rng(13))
         net.fc.b[...] = np.array([60.0, 0.0, 0.0, 0.0], np.float32)
         net.fc.w[...] = 0.0
-        zeros = np.zeros((64, 64), np.float32)
-        breakdown, _ = loss_tbc(zeros, zeros, label=0, classifier=net)
-        assert breakdown.total < 1e-6
+        zeros = np.zeros((2, 1, 64, 64), np.float32)
+        terms, _ = joint_loss(zeros, zeros, np.array([0, 0]), net, 1.0)
+        assert sum(terms.values()) < 1e-6
 
     def test_gradient_sums_components(self):
         rng = Rng(14)
         net = build_scm(4, (64, 64), rng)
-        pred = rng.uniform_array((64, 64))
-        truth = rng.uniform_array((64, 64))
-        _, g_all = loss_tbc(pred, truth, label=2, classifier=net, weight=1.0)
-        _, _, g_t = loss_t(pred, truth)
-        _, g_b = loss_b(pred)
-        from irstd.scm import scm_forward_backward
-        _, g_c = scm_forward_backward(net, pred, 2)
-        assert np.allclose(g_all, g_t + g_b + g_c.astype(np.float64), atol=1e-12)
+        preds = rng.uniform_array((3, 1, 64, 64))
+        truths = rng.uniform_array((3, 1, 64, 64))
+        labels = np.array([2, 0, 1])
+        _, g_all = joint_loss(preds, truths, labels, net, 0.7)
+        g_tb = np.stack([loss_t(p[0], t[0])[2] + loss_b(p[0])[1]
+                         for p, t in zip(preds, truths)])[:, None] / 3
+        _, dlogits = cross_entropy(net.forward(preds), labels)
+        g_c = net.backward((dlogits * 0.7 / 3).astype(np.float32))
+        assert np.allclose(g_all, g_tb + g_c.astype(np.float64), atol=1e-12)
 
     def test_without_classifier(self):
-        pred = Rng(15).uniform_array((16, 16))
-        truth = Rng(16).uniform_array((16, 16))
-        breakdown, _ = loss_tbc(pred, truth)
-        assert breakdown.classification == 0.0
-        breakdown.validate()
+        # the ablation modes drop their terms from the values and from the
+        # gradient, and never touch the classifier
+        rng = Rng(15)
+        preds = rng.uniform_array((2, 1, 16, 16))
+        truths = rng.uniform_array((2, 1, 16, 16))
+        labels = np.array([1, 2])
+        g_t = np.stack([loss_t(p[0], t[0])[2] for p, t in zip(preds, truths)])[:, None]
+        g_b = np.stack([loss_b(p[0])[1] for p in preds])[:, None]
+        terms, grad = joint_loss(preds, truths, labels, None, 0.7, "target_sparsity")
+        assert terms["classification"] == 0.0 and terms["sparsity"] > 0.0
+        assert np.array_equal(grad, g_t / 2 + g_b / 2)
+        terms, grad = joint_loss(preds, truths, labels, None, 0.7, "target")
+        assert terms["classification"] == 0.0 and terms["sparsity"] == 0.0
+        assert np.array_equal(grad, g_t / 2)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            loss_tbc(np.zeros((16, 16)), np.zeros((16, 16)), weight=-1.0)
+        with pytest.raises(ValueError, match="weight"):
+            TrainConfig(weight=-1.0)
 
     def test_joint_gradient_vs_finite_difference(self):
+        # the gradient is of the batch mean, with the classification term
+        # weighted: both scalings are checked here
         from conftest import fd_at_indices, spread_indices
         rng = Rng(17)
         net = build_scm(4, (32, 32), rng, dtype=np.float64)
-        pred = rng.uniform_array((32, 32), 0.25, 0.95, np.float64)
-        truth = rng.uniform_array((32, 32), 0.0, 0.2, np.float64)
-        _, grad = loss_tbc(pred, truth, label=1, classifier=net)
+        preds = rng.uniform_array((2, 1, 32, 32), 0.25, 0.95, np.float64)
+        truths = rng.uniform_array((2, 1, 32, 32), 0.0, 0.2, np.float64)
+        labels = np.array([1, 3])
+        _, grad = joint_loss(preds, truths, labels, net, 0.7)
 
-        def total_of(q):
-            return loss_tbc(q, truth, label=1, classifier=net)[0].total
+        def mean_total(q):
+            terms, _ = joint_loss(q, truths, labels, net, 0.7)
+            return (terms["l1"] + terms["ssim_term"] + terms["sparsity"]
+                    + 0.7 * terms["classification"]) / 2
 
-        idx = spread_indices(pred.size, 48)
-        ref = fd_at_indices(total_of, pred, idx, 1e-6)
+        idx = spread_indices(preds.size, 48)
+        ref = fd_at_indices(mean_total, preds, idx, 1e-6)
         assert max_rel_err(grad.reshape(-1)[idx], ref) < 1e-4
-
-    def test_breakdown_invariant_violation_caught(self):
-        bad = LossBreakdown(0.1, 0.1, 0.3, 0.0, 0.0, 1.0, 0.3)
-        with pytest.raises(AssertionError):
-            bad.validate()

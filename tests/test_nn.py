@@ -5,9 +5,7 @@ import pytest
 
 from irstd import nn
 from irstd.nn import (AvgPool, Conv3x3, Linear, MaxPool2x2, ReLU,
-                      UpsampleNearest2x, avgpool, conv2d_forward, cross_entropy,
-                      fully_connected, maxpool2, relu, softmax, softmax_backward,
-                      upsample_nearest2)
+                      UpsampleNearest2x, cross_entropy, softmax)
 from irstd.tensor import Rng, finite_diff_grad
 
 
@@ -46,12 +44,12 @@ class TestConv:
         conv = Conv3x3(1, 1, "replicate")
         conv.w[0, 0, 1, 1] = 1.0
         x = Rng(1).uniform_array((1, 6, 7))
-        assert np.array_equal(conv2d_forward(conv, x), x)
+        assert np.array_equal(conv.forward(x[None], train=False)[0], x)
 
     def test_all_ones_kernel_zero_pad_counts(self):
         conv = Conv3x3(1, 1, "zero")
         conv.w[...] = 1.0
-        y = conv2d_forward(conv, np.ones((1, 3, 3), np.float32))
+        y = conv.forward(np.ones((1, 1, 3, 3), np.float32), train=False)[0]
         assert y[0, 1, 1] == 9.0
         assert y[0, 0, 0] == 4.0 and y[0, 2, 2] == 4.0
         assert y[0, 0, 1] == 6.0
@@ -62,7 +60,7 @@ class TestConv:
         conv = Conv3x3(2, 4, padding, bias=True, rng=rng)
         conv.b[...] = rng.uniform_array((4,), -0.5, 0.5)
         x = rng.uniform_array((2, 8, 8), -1, 1)
-        got = conv2d_forward(conv, x)
+        got = conv.forward(x[None], train=False)[0]
         want = loop_conv_oracle(conv.w.astype(np.float64), conv.b.astype(np.float64),
                                 x.astype(np.float64), padding)
         assert max_rel_err(got, want) < 1e-5
@@ -251,19 +249,19 @@ class TestMaxPool:
         dy = Rng(len(shape)).uniform_array(y.shape, -1, 1, dtype)
         dx = pool.backward(dy)
         assert dx.dtype == dtype and np.array_equal(dx, backward_ref(dy))
-        assert np.array_equal(maxpool2(x)[1], idx_ref)
+        assert np.array_equal(sum(k * m for k, m in enumerate(pool._masks)), idx_ref)
 
     def test_single_block(self):
-        y, _ = maxpool2(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
-        assert y.shape == (1, 1, 1) and y[0, 0, 0] == 4.0
+        y = MaxPool2x2().forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32))
+        assert y.shape == (1, 1, 1, 1) and y[0, 0, 0, 0] == 4.0
 
     def test_constant_image(self):
-        y, _ = maxpool2(np.full((2, 6, 6), 0.3, np.float32))
-        assert y.shape == (2, 3, 3) and np.all(y == np.float32(0.3))
+        y = MaxPool2x2().forward(np.full((1, 2, 6, 6), 0.3, np.float32))
+        assert y.shape == (1, 2, 3, 3) and np.all(y == np.float32(0.3))
 
     def test_matches_block_scan_oracle(self):
         x = Rng(4).uniform_array((3, 16, 16))
-        y, _ = maxpool2(x)
+        y = MaxPool2x2().forward(x[None], train=False)[0]
         for c in range(3):
             for i in range(8):
                 for j in range(8):
@@ -271,7 +269,7 @@ class TestMaxPool:
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            maxpool2(np.zeros((1, 5, 6), np.float32))
+            MaxPool2x2().forward(np.zeros((1, 1, 5, 6), np.float32))
 
     def test_backward_routes_to_argmax_only(self):
         pool = MaxPool2x2()
@@ -304,12 +302,12 @@ class TestUpsample:
         assert np.array_equal(UpsampleNearest2x().backward(dy), block_sum)
 
     def test_single_pixel(self):
-        y = upsample_nearest2(np.array([[[5.0]]], dtype=np.float32))
-        assert np.array_equal(y, np.full((1, 2, 2), 5.0, np.float32))
+        y = UpsampleNearest2x().forward(np.array([[[[5.0]]]], np.float32))
+        assert np.array_equal(y, np.full((1, 1, 2, 2), 5.0, np.float32))
 
     def test_upsample_then_pool_round_trip(self):
-        x = Rng(8).uniform_array((2, 5, 7))
-        y, _ = maxpool2(upsample_nearest2(x))
+        x = Rng(8).uniform_array((1, 2, 5, 7))
+        y = MaxPool2x2().forward(UpsampleNearest2x().forward(x), train=False)
         assert np.array_equal(y, x)
 
     def test_gradient_vs_finite_difference(self):
@@ -328,16 +326,16 @@ class TestUpsample:
 class TestAvgPool:
     def test_table_shape(self):
         # 16-channel 16x16 map, 4x4 window, stride 4 -> 16 channels of 4x4
-        y = avgpool(Rng(11).uniform_array((16, 16, 16)), 4, 4)
-        assert y.shape == (16, 4, 4)
+        y = AvgPool(4, 4).forward(Rng(11).uniform_array((1, 16, 16, 16)))
+        assert y.shape == (1, 16, 4, 4)
 
     def test_constant_preserved(self):
-        y = avgpool(np.full((1, 8, 8), 0.42, np.float32), 4, 4)
+        y = AvgPool(4, 4).forward(np.full((1, 1, 8, 8), 0.42, np.float32))
         assert np.allclose(y, 0.42, atol=1e-7)
 
     def test_matches_loop_oracle(self):
         x = Rng(12).uniform_array((2, 10, 10), -1, 1)
-        y = avgpool(x, 4, 2)
+        y = AvgPool(4, 2).forward(x[None], train=False)[0]
         for c in range(2):
             for i in range(4):
                 for j in range(4):
@@ -346,7 +344,7 @@ class TestAvgPool:
 
     def test_divisibility_violation_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
-            avgpool(np.zeros((1, 9, 9), np.float32), 4, 2)
+            AvgPool(4, 2).forward(np.zeros((1, 1, 9, 9), np.float32))
 
     def test_gradient_vs_finite_difference(self):
         pool = AvgPool(3, 2)
@@ -362,21 +360,20 @@ class TestAvgPool:
 
 class TestLinear:
     def test_identity(self):
-        x = np.arange(4, dtype=np.float32)
-        assert np.array_equal(fully_connected(np.eye(4, dtype=np.float32),
-                                              np.zeros(4, np.float32), x), x)
+        lin = Linear(4, 4)
+        lin.w[...] = np.eye(4)
+        x = np.arange(4, dtype=np.float32)[None]
+        assert np.array_equal(lin.forward(x, train=False), x)
 
     def test_accepts_flattened_pool_output(self):
         # 4x4x16 average-pool output flattens to the 256-wide classifier input
-        flat = Rng(15).uniform_array((16, 4, 4)).reshape(-1)
-        w = Rng(16).uniform_array((4, 256), -0.1, 0.1)
-        y = fully_connected(w, np.zeros(4, np.float32), flat)
-        assert y.shape == (4,)
+        flat = Rng(15).uniform_array((2, 16, 4, 4)).reshape(2, -1)
+        y = Linear(256, 4, rng=Rng(16)).forward(flat, train=False)
+        assert y.shape == (2, 4)
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            fully_connected(np.zeros((4, 8), np.float32), np.zeros(4, np.float32),
-                            np.zeros(7, np.float32))
+        with pytest.raises(ValueError, match="expected 8 features"):
+            Linear(8, 4).forward(np.zeros((1, 7), np.float32))
 
     def test_gradients_vs_finite_difference(self):
         rng = Rng(18)
@@ -404,7 +401,8 @@ class TestLinear:
 
 class TestActivations:
     def test_relu_values(self):
-        assert np.array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
+        assert np.array_equal(ReLU().forward(np.array([-1.0, 2.0]), train=False),
+                              [0.0, 2.0])
 
     def test_relu_subgradient_zero_at_zero(self):
         layer = ReLU()
@@ -429,13 +427,15 @@ class TestActivations:
         assert np.isfinite(p).all() and abs(p[:2].sum() - 1.0) < 1e-9
 
     def test_softmax_backward_vs_finite_difference(self):
-        x = Rng(20).uniform_array((5,), -2, 2, np.float64)
-        dy = Rng(21).uniform_array((5,), -1, 1, np.float64)
+        # the softmax backward the package runs is the one inside the
+        # cross-entropy gradient at the logits
+        x = Rng(20).uniform_array((3, 5), -2, 2, np.float64)
+        labels = np.array([4, 0, 2])
 
         def loss(xv):
-            return float((softmax(xv) * dy).sum())
+            return float(cross_entropy(xv, labels)[0].sum())
 
-        got = softmax_backward(dy, softmax(x))
+        _, got = cross_entropy(x, labels)
         assert max_rel_err(got, finite_diff_grad(loss, x, 1e-6)) < 1e-8
 
     def test_cross_entropy_uniform_and_gradient(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from irstd.checkpoint import load_weights, save_weights, weight_hash
-from irstd.scm import (CHANNELS, build_scm, classify, feature_count,
-                       scm_forward_backward)
+from irstd.nn import cross_entropy
+from irstd.scm import CHANNELS, build_scm, classify, feature_count
 from irstd.tensor import Rng, finite_diff_grad
 
 
@@ -13,6 +13,14 @@ def max_rel_err(a, b):
     a = np.asarray(a, np.float64)
     b = np.asarray(b, np.float64)
     return np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max(), 1e-12)
+
+
+def loss_and_input_grad(net, image, label):
+    """Cross-entropy of one 2-D image at ``label`` and its gradient with
+    respect to the image, through the classifier's own backward pass."""
+    x = np.asarray(image)[None, None].astype(net.convs[0].w.dtype)
+    losses, dlogits = cross_entropy(net.forward(x), np.array([label]))
+    return float(losses[0]), net.backward(dlogits.astype(x.dtype))[0, 0]
 
 
 class TestStructure:
@@ -82,7 +90,7 @@ class TestForwardBackward:
         for layer in net.layers():  # zero weights -> identical logits
             for arr in layer.weight_arrays():
                 arr[...] = 0.0
-        loss, _ = scm_forward_backward(net, Rng(5).uniform_array((64, 64)), 2)
+        loss, _ = loss_and_input_grad(net, Rng(5).uniform_array((64, 64)), 2)
         assert abs(loss - math.log(4.0)) < 1e-9
 
     def test_confident_correct_loss_near_zero(self):
@@ -90,26 +98,26 @@ class TestForwardBackward:
         net.fc.b[...] = np.array([50.0, 0.0, 0.0, 0.0], np.float32)
         for arr in net.fc.weight_arrays()[:1]:
             arr[...] = 0.0
-        loss, _ = scm_forward_backward(net, np.zeros((64, 64), np.float32), 0)
+        loss, _ = loss_and_input_grad(net, np.zeros((64, 64), np.float32), 0)
         assert loss < 1e-6
 
     def test_label_out_of_range(self):
         net = build_scm(4, (64, 64), Rng(4))
         with pytest.raises(ValueError, match="label"):
-            scm_forward_backward(net, np.zeros((64, 64), np.float32), 4)
+            loss_and_input_grad(net, np.zeros((64, 64), np.float32), 4)
 
     def test_input_gradient_vs_finite_difference(self):
         from conftest import fd_at_indices, spread_indices
         net = build_scm(4, (32, 32), Rng(6), dtype=np.float64)
         img = Rng(7).uniform_array((32, 32), 0, 1, np.float64)
-        _, d_input = scm_forward_backward(net, img, 1)
+        _, d_input = loss_and_input_grad(net, img, 1)
         idx = spread_indices(img.size, 64)
-        ref = fd_at_indices(lambda q: scm_forward_backward(net, q, 1)[0], img, idx, 1e-5)
+        ref = fd_at_indices(lambda q: loss_and_input_grad(net, q, 1)[0], img, idx, 1e-5)
         assert max_rel_err(d_input.reshape(-1)[idx], ref) < 1e-6
 
     def test_param_grads_left_on_layers(self):
         net = build_scm(4, (64, 64), Rng(8))
-        scm_forward_backward(net, Rng(9).uniform_array((64, 64)), 0)
+        loss_and_input_grad(net, Rng(9).uniform_array((64, 64)), 0)
         assert all(g is not None and g.shape for g in net.gradients())
 
 
@@ -118,7 +126,7 @@ class TestFreezeAndCheckpoint:
         net = build_scm(4, (64, 64), Rng(10))
         before = weight_hash(net)
         for label in range(4):
-            scm_forward_backward(net, Rng(11).uniform_array((64, 64)), label)
+            loss_and_input_grad(net, Rng(11).uniform_array((64, 64)), label)
         assert weight_hash(net) == before
 
     def test_checkpoint_round_trip(self, tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from irstd.tensor import (Rng, elementwise, finite_diff_grad, load_tensor,
-                          mix64, save_tensor, stats)
+from irstd.tensor import (Rng, finite_diff_grad, load_tensor, mix64,
+                          save_tensor, stats)
 
 # Frozen regression vectors for the generator (canonical SplitMix64 outputs).
 RNG_VECTORS = {
@@ -58,35 +58,6 @@ class TestRng:
     def test_mix64_bijective_sample(self):
         outs = {mix64(v) for v in range(4096)}
         assert len(outs) == 4096
-
-
-class TestElementwise:
-    def test_add(self):
-        assert np.array_equal(elementwise("add", [1.0, 2.0], [3.0, 4.0]), [4.0, 6.0])
-
-    def test_max_idempotent(self):
-        x = Rng(2).uniform_array((4, 5))
-        assert np.array_equal(elementwise("max", x, x), x)
-
-    def test_clamp_boundaries(self):
-        assert np.array_equal(elementwise("clamp", [-1.0, 2.0], (0.0, 1.0)), [0.0, 1.0])
-
-    def test_scalar_operand(self):
-        assert np.array_equal(elementwise("mul", [1.0, 2.0], 3.0), [3.0, 6.0])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            elementwise("add", np.zeros(3), np.zeros(4))
-
-    def test_shape_preserved(self):
-        x = Rng(3).uniform_array((3, 4, 5))
-        for op in ("add", "sub", "mul", "max"):
-            assert elementwise(op, x, x).shape == x.shape
-
-    def test_nonfinite_result_rejected(self):
-        big = np.full(4, 3e38, np.float32)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            elementwise("add", big, big)
 
 
 class TestStats:

@@ -1,18 +1,23 @@
+import dataclasses
+import importlib.util
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fd_at_indices, max_rel_err, spread_indices
+from irstd import loss, train
 from irstd.checkpoint import weight_hash
 from irstd.scm import build_scm
 from irstd.synth import desk_tuples
 from irstd.tem import NetConfig, build_tem
 from irstd.tensor import Rng
-from irstd.train import (Adam, FrozenScm, TrainConfig, adam_step, freeze_scm,
-                         scm_accuracy, sgd_step, train_scm, train_tem)
+from irstd.train import (Adam, FrozenScm, TrainConfig, freeze_scm, scm_accuracy,
+                         train_config_from_dict, train_scm, train_tem)
 
 
 class TestConfig:
@@ -35,17 +40,44 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(decay_epochs=(20, 10))
 
+    @pytest.mark.parametrize("field,value", [
+        ("weight", -3.0), ("weight", math.nan), ("weight", math.inf),
+        ("lr", math.nan), ("lr", math.inf), ("epochs", 0), ("batch_size", 0)])
+    def test_bad_value_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_weight_allowed(self):
+        assert TrainConfig(weight=0.0).weight == 0.0
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"lr": 0.01, "momentum": 0.9}, "'momentum'"),
+        ({"lr": "x"}, "'lr'"),
+        ({"epochs": 2.5}, "'epochs'"),
+        ({"seed": True}, "'seed'"),
+        ({"decay_epochs": [1, "2"]}, "'decay_epochs'"),
+        ([1, 2], "JSON object")],
+        ids=["unknown-key", "str-for-float", "float-for-int", "bool-for-int",
+             "str-in-list", "not-an-object"])
+    def test_malformed_dict_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            train_config_from_dict(doc)
+
+    def test_dict_round_trip(self):
+        cfg = TrainConfig(epochs=3, lr=1, decay_epochs=(1, 2), weight=0.5)
+        assert train_config_from_dict(train.train_config_to_dict(cfg)) == cfg
+
 
 class TestOptimizers:
     def test_plain_step_hand_value(self):
         # f(w) = w^2 / 2, so one step from 1.0 at lr 0.1 lands on 0.9
         w = np.array([1.0], np.float32)
-        sgd_step([w], [np.array([1.0])], 0.1)
+        Adam([w]).step([np.array([1.0])], 0.1)
         assert np.isclose(w[0], 0.9)
 
     def test_plain_step_zero_gradient_is_identity(self):
         w = np.array([1.5, -2.0], np.float32)
-        sgd_step([w], [np.zeros(2)], 0.1)
+        Adam([w]).step([np.zeros(2)], 0.1)
         assert np.array_equal(w, [1.5, -2.0])
 
     def test_adam_first_step_magnitude_is_lr(self):
@@ -54,7 +86,7 @@ class TestOptimizers:
         for scale in (1e-4, 1.0, 1e6):
             w = np.zeros(3, np.float32)
             opt = Adam([w])
-            adam_step([w], [np.full(3, scale, np.float32)], opt, lr=0.01)
+            opt.step([np.full(3, scale, np.float32)], lr=0.01)
             assert np.allclose(np.abs(w), 0.01, rtol=1e-3)
 
     def test_adam_deterministic(self):
@@ -228,11 +260,41 @@ class TestNumericalFailure:
     def test_nan_aborts_with_batch_diagnostics(self, tiny_dataset, tmp_path):
         from irstd.train import NumericalFailure
         scm_net, _ = train_scm(tiny_dataset[:8], TrainConfig(epochs=1, seed=18))
-        poisoned = [t for t in tiny_dataset[:8]]
-        poisoned[3].frame = poisoned[3].frame.copy()
-        poisoned[3].frame[0, 0] = np.nan
+        poisoned = list(tiny_dataset[:8])
+        frame = poisoned[3].frame.copy()
+        frame[0, 0] = np.nan
+        poisoned[3] = dataclasses.replace(poisoned[3], frame=frame)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as info:
             train_tem(poisoned, freeze_scm(scm_net), TrainConfig(epochs=1, seed=19),
                       NetConfig(2, 2, 64, 64), debug_dir=tmp_path)
         assert info.value.batch_indices
         assert (tmp_path / "bad_batch_frames.tbct").exists()
+        assert np.isfinite(tiny_dataset[3].frame).all()
+
+
+def load_tracer():
+    """perfbench/tracer.py, imported from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerNames:
+    def test_training_runs_through_the_traced_names(self, tiny_dataset):
+        """The benchmark tracer wraps names in irstd.train's namespace; a
+        training step that bypasses them would leave its spans empty."""
+        tracer_mod = load_tracer()
+        tracer = tracer_mod.Tracer()
+        tracer_mod.install(tracer)
+        try:
+            frozen = train.freeze_scm(build_scm(4, (64, 64), Rng(30)))
+            train.train_tem(tiny_dataset[:8], frozen, TrainConfig(epochs=1, seed=31),
+                            NetConfig(2, 2, 64, 64))
+        finally:
+            tracer.restore()
+        names = {span[0] for span in tracer.spans}
+        assert {"loss.loss_t", "loss.loss_b", "nn.cross_entropy", "train.adam_step",
+                "train.weight_hash", "tem.build", "train.step"} <= names
+        assert train.loss_t is loss.loss_t
