@@ -43,17 +43,13 @@ def _checksum(version: int, body) -> int:
     return fnv1a64(body) if version == 1 else zlib.crc32(body)
 
 
-def _payload(net) -> bytes:
-    return b"".join(
-        np.ascontiguousarray(a, dtype="<f4").tobytes() for a in net.parameters())
-
-
 def weight_hash(net) -> bytes:
     """The raw little-endian float32 bytes of every weight array, in
     construction order. Two nets compare equal exactly when their weights
     are byte-identical, which is how the classifier is proved frozen; no
     digest is taken, so no collision can hide a change."""
-    return _payload(net)
+    return b"".join(
+        np.ascontiguousarray(a, dtype="<f4").tobytes() for a in net.parameters())
 
 
 def save_weights(path, net: TemNet | ScmNet) -> None:
@@ -65,8 +61,16 @@ def save_weights(path, net: TemNet | ScmNet) -> None:
         head += struct.pack("<I", net.c_classes)
     else:
         raise TypeError(f"cannot checkpoint {type(net).__name__}")
-    body = head + _payload(net)
-    Path(path).write_bytes(body + struct.pack("<Q", _checksum(VERSION, body)))
+    # head, each weight array's bytes and the trailer go out one at a time,
+    # the CRC fed as they go, so the payload is never copied whole
+    with open(path, "wb") as f:
+        f.write(head)
+        crc = zlib.crc32(head)
+        for a in net.parameters():
+            chunk = memoryview(np.ascontiguousarray(a, dtype="<f4")).cast("B")
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<Q", crc))
 
 
 def _fill(net, values: np.ndarray, path) -> None:
@@ -88,7 +92,8 @@ def load_weights(path) -> TemNet | ScmNet:
     version, kind = struct.unpack_from("<IB", data, 4)
     if version not in (1, VERSION):
         raise ValueError(f"{path}: unsupported version {version}")
-    body, (stored,) = data[:-8], struct.unpack("<Q", data[-8:])
+    # a view, not a copy, of everything before the trailer
+    body, (stored,) = memoryview(data)[:-8], struct.unpack_from("<Q", data, len(data) - 8)
     if _checksum(version, body) != stored:
         raise ValueError(f"{path}: checksum mismatch (corrupt file)")
     off = _HEADER_BYTES.get(kind)

@@ -19,15 +19,20 @@ def normalize01(image: np.ndarray) -> np.ndarray:
     Idempotent: an image whose float64 values already span exactly [0, 1]
     is returned as it is, without a copy, since (x - 0) / (1 - 0) == x (the
     rescale could only change the sign of a zero). Callers must not write
-    into the result."""
-    image = np.asarray(image, np.float64)
-    lo = image.min()
-    hi = image.max()
+    into the result.
+
+    The extremes are taken in the input dtype, whose conversion to float64
+    is exact and monotone, and the rescale converts as it subtracts, so
+    only the result is allocated."""
+    image = np.asarray(image)
+    lo, hi = float(image.min()), float(image.max())
     if lo == 0 and hi == 1:
-        return image
+        return np.asarray(image, np.float64)
     if hi == lo:
-        return np.zeros_like(image)
-    return (image - lo) / (hi - lo)
+        return np.zeros(image.shape)
+    out = np.subtract(image, lo, dtype=np.float64)
+    out /= hi - lo
+    return out
 
 
 def adaptive_threshold(image: np.ndarray, k: float) -> np.ndarray:
@@ -45,29 +50,65 @@ def adaptive_threshold(image: np.ndarray, k: float) -> np.ndarray:
     return norm > (mean + k * std)
 
 
+def _label_pixels(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """8-connectivity labelling of a 2-D boolean mask's pixel list.
+
+    Returns the flat indices of the mask pixels in raster order, each
+    pixel's component label (int32, 1..n) and n. Every pixel is joined to
+    its forward neighbours (right, down-left, down, down-right), found by
+    binary search in the sorted pixel list; a column test stops a row's
+    last pixel joining the next row's first. The joins are merged by
+    hooking each edge's larger root under its smaller one, then pointer
+    jumping until every pixel points at a root. A component's root is
+    thus its raster-first pixel, and components are numbered in that
+    order.
+    """
+    _, w = mask.shape
+    idx = np.flatnonzero(mask)
+    n = idx.size
+    if n == 0:
+        return idx, np.zeros(0, np.int32), 0
+    col = idx % w
+    pos = np.arange(n)
+    lo, hi = [], []
+    for offset, ok in ((1, col < w - 1), (w - 1, col > 0), (w, slice(None)),
+                       (w + 1, col < w - 1)):
+        src = pos[ok]
+        want = idx[src] + offset
+        dst = np.minimum(np.searchsorted(idx, want), n - 1)
+        hit = idx[dst] == want
+        lo.append(src[hit])
+        hi.append(dst[hit])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    parent = np.arange(n)
+    while lo.size:
+        a, b = parent[lo], parent[hi]
+        cross = a != b
+        if not cross.any():
+            break
+        lo, hi, a, b = lo[cross], hi[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots = np.cumsum(parent == pos, dtype=np.int32)
+    return idx, roots[parent], int(roots[-1])
+
+
 def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """8-connectivity component labelling by iterative flood fill.
+    """8-connectivity component labelling.
 
     Returns (labels array with 0 for background and 1..n for components, n).
-    Components are numbered in raster order of their first-encountered pixel.
+    Components are numbered in raster order of their first pixel; the
+    labels come from the mask's pixel list (see ``_label_pixels``), so the
+    cost grows with the mask pixels, not the frame.
     """
     mask = np.asarray(mask, bool)
-    h, w = mask.shape
-    labels = np.zeros((h, w), np.int32)
-    n = 0
-    for r0, c0 in np.argwhere(mask):
-        if labels[r0, c0]:
-            continue
-        n += 1
-        stack = [(int(r0), int(c0))]
-        labels[r0, c0] = n
-        while stack:
-            r, c = stack.pop()
-            for rr in range(max(r - 1, 0), min(r + 2, h)):
-                for cc in range(max(c - 1, 0), min(c + 2, w)):
-                    if mask[rr, cc] and not labels[rr, cc]:
-                        labels[rr, cc] = n
-                        stack.append((rr, cc))
+    idx, lab, n = _label_pixels(mask)
+    labels = np.zeros(mask.shape, np.int32)
+    labels.reshape(-1)[idx] = lab
     return labels, n
 
 
@@ -91,17 +132,16 @@ def connected_components(mask: np.ndarray, values: np.ndarray | None = None) -> 
     bounding boxes. ``values`` (e.g. the normalised target map) supplies the
     peak; without it peaks are 1.0.
 
-    One pass over the mask pixels, grouped by label with a stable sort,
-    gives every component's statistics; centroids are exact integer sums
-    over the pixel count, so they equal the per-component means.
+    One pass over the labelled pixel list, grouped by label with a stable
+    sort, gives every component's statistics; centroids are exact integer
+    sums over the pixel count, so they equal the per-component means.
     """
-    labels, n = label_mask(mask)
+    mask = np.asarray(mask, bool)
+    idx, lab, n = _label_pixels(mask)
     if n == 0:
         return []
-    rows, cols = np.nonzero(labels)
-    lab = labels[rows, cols]
     order = np.argsort(lab, kind="stable")
-    rows, cols = rows[order], cols[order]
+    rows, cols = np.divmod(idx[order], mask.shape[1])
     counts = np.bincount(lab)[1:]
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     x0 = np.minimum.reduceat(rows, starts)

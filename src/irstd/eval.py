@@ -15,6 +15,7 @@ global minimum everything is detected and the false-alarm rate approaches 1.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,13 +35,6 @@ def _as_box(box) -> tuple[int, int, int, int]:
     return x0, y0, h0, w0
 
 
-def _centroid_in(centroid: tuple[float, float], box, radius: float) -> bool:
-    x0, y0, h0, w0 = _as_box(box)
-    r, c = centroid
-    return (x0 - radius <= r <= x0 + h0 - 1 + radius
-            and y0 - radius <= c <= y0 + w0 - 1 + radius)
-
-
 def match_and_score(detections: list[Detection], gt_boxes: list,
                     radius: float = 2.0) -> tuple[int, int]:
     """Greedy matching of detections to ground-truth boxes.
@@ -52,17 +46,21 @@ def match_and_score(detections: list[Detection], gt_boxes: list,
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    claimed = [False] * len(gt_boxes)
+    # each box's dilated (top, bottom, left, right) bounds, inclusive
+    bounds = [(x0 - radius, x0 + h0 - 1 + radius, y0 - radius, y0 + w0 - 1 + radius)
+              for x0, y0, h0, w0 in map(_as_box, gt_boxes)]
+    claimed = [False] * len(bounds)
     true = 0
     false_px = 0
     for det in detections:
-        hit = next((i for i, b in enumerate(gt_boxes)
-                    if not claimed[i] and _centroid_in(det.centroid, b, radius)), None)
-        if hit is None:
-            false_px += det.pixel_count
+        r, c = det.centroid
+        for i, (top, bottom, left, right) in enumerate(bounds):
+            if not claimed[i] and top <= r <= bottom and left <= c <= right:
+                claimed[i] = True
+                true += 1
+                break
         else:
-            claimed[hit] = True
-            true += 1
+            false_px += det.pixel_count
     return true, false_px
 
 
@@ -213,8 +211,8 @@ def tophat(image: np.ndarray, size: int = 5) -> np.ndarray:
 
 
 _DIRECTIONS = ("h", "v", "d1", "d2")
-# frame rows per max-median band: the (rows, width, window) float64 buffer
-# is 0.9 MiB for a 256-wide frame and a 15-pixel window
+# frame rows per max-median band: the (window + 1, rows, width) float64
+# buffer is 1 MiB for a 256-wide frame and a 15-pixel window
 _MEDIAN_BAND_ROWS = 32
 
 
@@ -229,27 +227,67 @@ def _line_slices(padded: np.ndarray, direction: str, offset: int, pad: int,
     return padded[pad + offset:pad + offset + h, pad - offset:pad - offset + w]
 
 
+@functools.lru_cache(maxsize=16)
+def _median_network(size: int) -> tuple[tuple, int]:
+    """A selection network for the middle of ``size`` values, as a program
+    over ``size + 1`` buffer slots: (np.minimum or np.maximum, slot, slot,
+    output slot) steps, and the slot that ends up holding the median.
+
+    Batcher's odd-even merge sort on the next power of two, less the
+    comparators that touch the padding (taken as +inf, they would never
+    swap), pruned backwards to those the middle output depends on; a
+    comparator whose low or high output is dead keeps only the other
+    ufunc. Slot ``size`` is the spare that a comparator with both outputs
+    live writes its minimum into. 15 values take 49 comparators.
+    """
+    n = 1 << (size - 1).bit_length()
+    comparators = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < size:
+                        comparators.append((i, i + k))
+            k //= 2
+        p *= 2
+    live, steps = {size // 2}, []
+    for lo, hi in reversed(comparators):
+        if lo in live or hi in live:
+            steps.append((lo, hi, lo in live, hi in live))
+            live |= {lo, hi}
+    slot, spare = list(range(size)), size
+    program = []
+    for lo, hi, lo_live, hi_live in reversed(steps):
+        a, b = slot[lo], slot[hi]
+        if lo_live:
+            program.append((np.minimum, a, b, spare if hi_live else a))
+        if hi_live:
+            program.append((np.maximum, a, b, b))
+        if lo_live and hi_live:
+            slot[lo], spare = spare, a
+    return tuple(program), slot[size // 2]
+
+
 def _median_deficit(image: np.ndarray, lines: list[np.ndarray], buf: np.ndarray) -> np.ndarray:
     """``image`` minus the median of ``lines`` (views shaped like the image),
-    one band of rows at a time in the reused (rows, width, window) ``buf``.
-    An odd window's median is its middle order statistic. np.median also
-    partitions the largest value last and returns it when it is NaN; that
-    slower partition runs only on frames holding a NaN."""
-    mid, last = len(lines) // 2, len(lines) - 1
-    has_nan = bool(np.isnan(image).any())
-    kth = (mid, last) if has_nan else mid
-    h = image.shape[0]
+    one band of rows at a time in the reused (window + 1, rows, width)
+    ``buf``: the lines are copied into the first slots and the selection
+    network of ``_median_network`` runs over them. The median is the middle
+    order statistic, picked by np.minimum and np.maximum; both pass NaN on,
+    so a window holding a NaN gives NaN, as np.median does."""
+    program, mid = _median_network(len(lines))
+    h, rows = image.shape[0], buf.shape[1]
     deficit = np.empty_like(image)
-    for r0 in range(0, h, len(buf)):
-        r1 = min(r0 + len(buf), h)
-        band = buf[:r1 - r0]
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        band = buf[:, :r1 - r0]
         for k, line in enumerate(lines):
-            band[..., k] = line[r0:r1]
-        band.partition(kth, axis=-1)
-        median = band[..., mid]
-        if has_nan:
-            median = np.where(np.isnan(band[..., last]), band[..., last], median)
-        np.subtract(image[r0:r1], median, out=deficit[r0:r1])
+            band[k] = line[r0:r1]
+        for op, a, b, out in program:
+            op(band[a], band[b], out=band[out])
+        np.subtract(image[r0:r1], band[mid], out=deficit[r0:r1])
     return deficit
 
 
@@ -263,7 +301,7 @@ def _directional_filter(image: np.ndarray, size: int, reducer: str) -> np.ndarra
     pad = size // 2
     padded = np.pad(image, pad, mode="edge")
     if reducer == "median":
-        buf = np.empty((min(_MEDIAN_BAND_ROWS, h), w, size))
+        buf = np.empty((size + 1, min(_MEDIAN_BAND_ROWS, h), w))
     score = None
     for direction in _DIRECTIONS:
         lines = [_line_slices(padded, direction, offset, pad, h, w)

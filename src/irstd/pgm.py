@@ -47,10 +47,17 @@ def read_pgm(path) -> np.ndarray:
     magic, _ = next(toks)
     if magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    (w, _), (h, end_h) = next(toks), next(toks)
-    maxtok, end = next(toks)
-    w, h, maxval = int(w), int(h), int(maxtok)
-    if not 1 <= maxval <= 65535:
+    fields = []
+    for name in ("width", "height", "maxval"):
+        tok, end = next(toks)
+        # digits only: int() would also take a sign, spaces or underscores,
+        # and it refuses a string of over 4300 digits
+        if not (tok.isdigit() and len(tok) <= 18 and int(tok) >= 1):
+            raise ValueError(f"{path}: {name} {tok[:20].decode('latin-1')!r} is not a "
+                             "positive decimal integer (at most 18 digits)")
+        fields.append(int(tok))
+    w, h, maxval = fields
+    if maxval > 65535:
         raise ValueError(f"{path}: bad maxval {maxval}")
     off = end + 1  # single whitespace byte after maxval
     dtype = ">u2" if maxval > 255 else "u1"

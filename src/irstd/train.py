@@ -57,8 +57,14 @@ class TrainConfig:
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("lr", "decay", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"weight must be >= 0 and finite, got {self.weight}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):

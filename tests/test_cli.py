@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import write_tem_checkpoint
+from irstd.checkpoint import save_weights
+from irstd.tem import NetConfig, build_tem
+from irstd.tensor import Rng
 
 CLI = [sys.executable, "-m", "irstd"]
 
@@ -187,6 +190,20 @@ class TestHostileCheckpoint:
         assert len(lines) == 1 and "needs 824432467968 float32 values" in lines[0]
 
 
+class TestHostilePgm:
+    @pytest.mark.parametrize("header", [b"P5 -4 5 255\n", b"P5 -1 -1 255\n"],
+                             ids=["negative-width", "negative-extents"])
+    def test_detect_signed_extents_one_line(self, tmp_path, header):
+        model = tmp_path / "tem.tbcw"
+        save_weights(model, build_tem(NetConfig(2, 2, 16, 16), Rng(1)))
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "bad.pgm").write_bytes(header + bytes(40))
+        proc = run("detect", "--model", model, "--images", frames, "--out", tmp_path / "det")
+        assert "Traceback" not in proc.stderr
+        assert_one_line_data_error(proc, "bad.pgm: width")
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -234,8 +251,13 @@ class TestBadTrainingOptions:
     @pytest.mark.parametrize("doc,text", [
         ({"epochs": 1, "momentum": 0.9}, "unknown training config key 'momentum'"),
         ({"lr": "x"}, "training config key 'lr' has a value of the wrong type"),
-        ([1, 2], "training config must be a JSON object, got list")],
-        ids=["unknown-key", "wrong-type", "not-an-object"])
+        ([1, 2], "training config must be a JSON object, got list"),
+        ({"decay": -1.0}, "decay must be positive and finite"),
+        ({"beta1": 1.0}, "beta1 must be in [0, 1)"),
+        ({"beta2": 1.5}, "beta2 must be in [0, 1)"),
+        ({"eps": 0.0}, "eps must be positive and finite")],
+        ids=["unknown-key", "wrong-type", "not-an-object", "decay-negative",
+             "beta1-one", "beta2-above-one", "eps-zero"])
     def test_malformed_config_file_rejected_in_one_line(self, pipeline, tmp_path,
                                                         doc, text):
         cfg = tmp_path / "cfg.json"

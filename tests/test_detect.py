@@ -34,10 +34,34 @@ def flood_fill_oracle(mask):
     return count
 
 
+def flood_fill_labels(mask):
+    """The former ``label_mask``: a per-pixel flood fill from each unlabelled
+    mask pixel in raster order, so components are numbered by their
+    raster-first pixel."""
+    mask = np.asarray(mask, bool)
+    h, w = mask.shape
+    labels = np.zeros((h, w), np.int32)
+    n = 0
+    for r0, c0 in np.argwhere(mask):
+        if labels[r0, c0]:
+            continue
+        n += 1
+        stack = [(int(r0), int(c0))]
+        labels[r0, c0] = n
+        while stack:
+            r, c = stack.pop()
+            for rr in range(max(r - 1, 0), min(r + 2, h)):
+                for cc in range(max(c - 1, 0), min(c + 2, w)):
+                    if mask[rr, cc] and not labels[rr, cc]:
+                        labels[rr, cc] = n
+                        stack.append((rr, cc))
+    return labels, n
+
+
 def rescan_components(mask, values=None):
-    """The per-component rescan: one ``labels == i`` pass per label, then the
-    stable (top, left) sort."""
-    labels, n = label_mask(mask)
+    """The per-component rescan of the flood-fill labels: one ``labels == i``
+    pass per label, then the stable (top, left) sort."""
+    labels, n = flood_fill_labels(mask)
     detections = []
     for i in range(1, n + 1):
         rows, cols = np.nonzero(labels == i)
@@ -195,11 +219,16 @@ class TestComponents:
 
 
 class TestComponentsMatchRescan:
-    """One-pass component statistics against the per-label rescan; Detection
-    equality compares centroids and peaks exactly."""
+    """Pixel-list labels against the flood fill's, and one-pass component
+    statistics against the per-label rescan of those; Detection equality
+    compares centroids and peaks exactly."""
 
     @staticmethod
     def check(mask, values=None):
+        labels, n = label_mask(mask)
+        want, want_n = flood_fill_labels(mask)
+        assert n == want_n and labels.dtype == want.dtype == np.int32
+        assert np.array_equal(labels, want)
         got = connected_components(mask, values)
         assert got == rescan_components(mask, values)
         for d in got:
@@ -207,11 +236,11 @@ class TestComponentsMatchRescan:
             assert all(type(v) is int for v in (d.pixel_count, *d.bbox))
         return got
 
-    @pytest.mark.parametrize("density", [0.02, 0.1, 0.3, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.3, 0.5, 0.75, 0.95, 1.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_seeded_masks(self, density, dtype):
         rng = Rng(int(density * 100))
-        for shape in ((24, 24), (17, 41), (64, 64)):
+        for shape in ((1, 1), (2, 3), (24, 24), (17, 41), (40, 7), (64, 64)):
             mask = rng.uniform_array(shape, 0, 1, np.float64) < density
             values = rng.uniform_array(shape, 0, 1, dtype)
             self.check(mask)
@@ -247,6 +276,58 @@ class TestComponentsMatchRescan:
         hook[0, 2:] = hook[:, 7] = hook[7, :] = hook[2:, 0] = True  # wraps round (0, 0)
         dets = self.check(hook)
         assert [d.bbox for d in dets] == [(0, 0, 1, 1), (0, 0, 8, 8)]
+
+    def test_shared_top_left_follows_raster_first_pixel(self):
+        # both components have bbox top 0 and left 0; the anti-diagonal's
+        # first pixel (0, 3) comes before the hook's (0, 5), so it is first
+        mask = np.zeros((7, 8), bool)
+        idx = np.arange(4)
+        mask[idx, 3 - idx] = True
+        mask[0, 5] = True
+        mask[1:5, 6] = True
+        mask[5, 0:6] = True
+        dets = self.check(mask)
+        assert [d.bbox[:2] for d in dets] == [(0, 0), (0, 0)]
+        assert [d.pixel_count for d in dets] == [4, 11]
+        labels, _ = label_mask(mask)
+        assert labels[0, 3] == 1 and labels[0, 5] == 2
+
+    @pytest.mark.parametrize("shape", [(1, 60), (60, 1)])
+    def test_single_row_or_column(self, shape):
+        rng = Rng(shape[0])
+        for density in (0.2, 0.5, 0.8):
+            mask = rng.uniform_array(shape, 0, 1, np.float64) < density
+            self.check(mask, rng.uniform_array(shape))
+        assert len(self.check(np.ones(shape, bool))) == 1
+
+    def test_row_ends_do_not_join(self):
+        # the last pixel of a row and the first of the next are adjacent in
+        # the flat index but not in the frame
+        mask = np.zeros((4, 5), bool)
+        mask[0, 4] = mask[1, 0] = mask[2, 4] = mask[3, 0] = True
+        assert len(self.check(mask)) == 4
+
+    def test_long_snake(self):
+        # one boustrophedon path over every other row; its far end joins the
+        # labels of rows scanned long before
+        mask = np.zeros((63, 40), bool)
+        mask[::2] = True
+        mask[1::4, -1] = True
+        mask[3::4, 0] = True
+        assert len(self.check(mask)) == 1
+        # a path of diagonal steps only, bouncing between the side columns
+        diag = np.zeros((200, 9), bool)
+        r = np.arange(200)
+        diag[r, 8 - np.abs(r % 16 - 8)] = True
+        assert len(self.check(diag)) == 1
+
+    def test_non_contiguous_values(self):
+        rng = Rng(77)
+        mask = rng.uniform_array((30, 20), 0, 1, np.float64) < 0.4
+        big = rng.uniform_array((60, 60), 0, 1, np.float64)
+        self.check(mask, big[::2, 1:61:3])       # strided
+        self.check(mask, big[:20, :30].T)        # Fortran order
+        assert not big[:20, :30].T.flags.c_contiguous
 
 
 class TestPipeline:

@@ -352,6 +352,62 @@ class TestBaselinesMatchWholeFrame:
         assert peak < bound < 15 * frame
 
 
+def run_network(size, values):
+    """The middle output of the max-median selection network over ``values``
+    (size, ...), run as ``_median_deficit`` runs it."""
+    program, mid = evalmod._median_network(size)
+    buf = np.empty((size + 1,) + values.shape[1:], values.dtype)
+    buf[:size] = values
+    for op, a, b, out in program:
+        op(buf[a], buf[b], out=buf[out])
+    return buf[mid]
+
+
+class TestMedianNetwork:
+    SIZES = [1, 3, 5, 7, 15, 17]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_every_zero_one_input(self, size):
+        # a comparator network that picks the median of every 0/1 input
+        # picks it of every input (the 0-1 principle)
+        bits = (np.arange(2**size)[:, None] >> np.arange(size)) & 1
+        values = bits.T.astype(np.int8)
+        assert np.array_equal(run_network(size, values), np.sort(values, axis=0)[size // 2])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_matches_np_median(self, size):
+        rng = Rng(100 + size)
+        values = rng.uniform_array((size, 6, 50), 0, 1, np.float64)
+        values[:, :2] = np.floor(values[:, :2] * 3)        # heavy ties
+        values[size // 3, 2, ::3] = np.inf
+        values[0, 3, ::2] = -np.inf
+        values[-1, 4, ::4] = np.nan
+        values[:, 5, :10] = np.inf                          # whole windows
+        values[:, 5, 10:20] = -np.inf
+        got = run_network(size, values)
+        want = np.median(values, axis=0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.isnan(got), np.isnan(values).any(axis=0))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_max_median_sizes_with_special_pixels(self, size):
+        rng = Rng(200 + size)
+        img = np.floor(rng.uniform_array((40, 37), 0, 1, np.float64) * 4) / 3
+        img[5, 7] = np.inf
+        img[20, 30] = -np.inf
+        img[33, 3] = np.nan
+        with np.errstate(invalid="ignore"):  # inf - inf next to the infinities
+            assert max_median(img, size).tobytes() == stack_max_median(img, size).tobytes()
+
+    def test_fifteen_wide_network_size(self):
+        # a comparator with both outputs live is a minimum and a maximum
+        # step over the same slots, one after the other
+        program, _ = evalmod._median_network(15)
+        pairs = [(a, b) for _, a, b, _ in program]
+        comparators = 1 + sum(p != q for p, q in zip(pairs, pairs[1:]))
+        assert (comparators, len(program)) == (49, 84)
+
+
 class TestBaselines:
     def test_constant_images_score_zero(self):
         flat = np.full((32, 32), 0.37, np.float32)

@@ -83,3 +83,28 @@ def test_truncated_data_rejected(tmp_path):
 def test_non_2d_rejected(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2), np.float32))
+
+
+@pytest.mark.parametrize("header,field", [
+    (b"P5 -4 5 255\n", "width"),
+    (b"P5 -1 -1 255\n", "width"),
+    (b"P5 4 -5 255\n", "height"),
+    (b"P5 +4 5 255\n", "width"),
+    (b"P5 4 1_0 255\n", "height"),
+    (b"P5 0 5 255\n", "width"),
+    (b"P5 4 5 0\n", "maxval"),
+    (b"P5 4 5 -255\n", "maxval"),
+    (b"P5 " + b"9" * 5000 + b" 5 255\n", "width")])
+def test_extents_and_maxval_must_be_positive_decimals(tmp_path, header, field):
+    # P5 -4 5 255 over 40 bytes used to read as a 5x8 image
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(header + bytes(40))
+    with pytest.raises(ValueError, match=f"signed.pgm: {field} .* is not a positive decimal"):
+        read_pgm(path)
+
+
+def test_maxval_above_16_bits_rejected(tmp_path):
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(b"P5 1 1 65536\n" + bytes(4))
+    with pytest.raises(ValueError, match="deep.pgm: bad maxval 65536"):
+        read_pgm(path)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -187,6 +188,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"needs {need} float32 values, payload holds {need - 1}$"):
             load_weights(path)
 
+    def test_save_and_load_copy_no_payload(self, tmp_path):
+        # save streams the weights out and load reads them through a view of
+        # the file's bytes: saving allocates no payload-sized buffer, and
+        # loading holds the file and the new net, nothing more
+        net = build_tem(NetConfig(16, 5, 256, 256), Rng(4))
+        payload = 4 * count_parameters(net)
+        path = tmp_path / "big.tbcw"
+        tracemalloc.start()
+        try:
+            save_weights(path, net)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_weights(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak < payload // 16
+        assert load_peak < 2.1 * payload
+        body = b"TBCW" + struct.pack("<IBII", 2, 0, 16, 5) + weight_hash(net)
+        assert path.read_bytes() == body + struct.pack("<Q", zlib.crc32(body))
+        assert weight_hash(loaded) == weight_hash(net)
+
     def test_classifier_without_classes_rejected(self, tmp_path):
         path = tmp_path / "scm.tbcw"
         body = b"TBCW" + struct.pack("<IBI", 1, 1, 0) + bytes(40)
@@ -202,7 +225,7 @@ def v1_bytes(net) -> bytes:
         head = struct.pack("<IBII", 1, checkpoint.KIND_TEM, net.cfg.bc, net.cfg.levels)
     else:
         head = struct.pack("<IBI", 1, checkpoint.KIND_SCM, net.c_classes)
-    body = b"TBCW" + head + checkpoint._payload(net)
+    body = b"TBCW" + head + weight_hash(net)
     return body + struct.pack("<Q", fnv1a64(body))
 
 

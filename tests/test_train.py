@@ -42,10 +42,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("weight", -3.0), ("weight", math.nan), ("weight", math.inf),
-        ("lr", math.nan), ("lr", math.inf), ("epochs", 0), ("batch_size", 0)])
+        ("lr", math.nan), ("lr", math.inf), ("epochs", 0), ("batch_size", 0),
+        ("decay", -1.0), ("decay", 0.0), ("decay", math.nan), ("decay", math.inf),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", 2.0), ("beta2", math.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf)])
     def test_bad_value_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    def test_recipe_edges_allowed(self):
+        cfg = TrainConfig(decay=2.0, beta1=0.0, beta2=0.0, eps=1e-30)
+        assert (cfg.decay, cfg.beta1, cfg.beta2, cfg.eps) == (2.0, 0.0, 0.0, 1e-30)
 
     def test_zero_weight_allowed(self):
         assert TrainConfig(weight=0.0).weight == 0.0
